@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "testing/fixtures.h"
+#include "testing/wire_samples.h"
 #include "wot/api/binary_codec.h"
 #include "wot/api/codec.h"
 #include "wot/api/frontend.h"
@@ -67,24 +68,14 @@ class ApiFuzzTest : public ::testing::Test {
   std::unique_ptr<ShardRouter> router_;
 };
 
-// Valid frames to mutate: one per method plus edge values.
+// Valid frames to mutate: every shared wire sample, so a new method is
+// fuzzed as soon as it has a sample.
 std::vector<std::string> SeedFrames() {
-  return {
-      R"({"v":1,"id":1,"method":"trust","params":{"source":"u0","target":"u1"}})",
-      R"({"v":1,"id":2,"method":"topk","params":{"source":"0","k":3}})",
-      R"({"v":1,"id":3,"method":"explain","params":{"source":"u2","target":"u0"}})",
-      R"({"v":1,"id":4,"method":"ingest_user","params":{"name":"fuzz"}})",
-      R"({"v":1,"id":5,"method":"ingest_category","params":{"name":"c"}})",
-      R"({"v":1,"id":6,"method":"ingest_object","params":{"category":"movies","name":"o"}})",
-      R"({"v":1,"id":7,"method":"ingest_review","params":{"writer":"u3","object":0}})",
-      R"({"v":1,"id":8,"method":"ingest_rating","params":{"rater":"u3","review":1,"value":0.8}})",
-      R"({"v":1,"id":9,"method":"commit"})",
-      R"({"v":1,"id":10,"method":"stats","params":{}})",
-      R"({"v":1,"id":11,"method":"metrics"})",
-      R"({"v":1,"id":12,"method":"repl_fetch","params":{"shard":0,"applied_version":3,"offset":0}})",
-      R"({"v":1,"id":13,"method":"repl_status"})",
-      R"({"v":1,"id":14,"method":"repl_promote"})",
-  };
+  std::vector<std::string> frames;
+  for (const Request& request : testing::SampleRequests()) {
+    frames.push_back(EncodeRequest(request));
+  }
+  return frames;
 }
 
 TEST_F(ApiFuzzTest, HandCraftedHostileLines) {
@@ -197,22 +188,10 @@ TEST_F(ApiFuzzTest, PureRandomBytes) {
 // ---------------------------------------------------------------------------
 // Binary decoder fuzz.
 
-// One valid binary frame per method, to mutate.
+// The binary twin of SeedFrames.
 std::vector<std::string> SeedBinaryFrames() {
   std::vector<std::string> frames;
-  int64_t id = 1;
-  for (RequestPayload payload : std::initializer_list<RequestPayload>{
-           TrustQuery{"u0", "u1"}, TopKQuery{"0", 3},
-           ExplainQuery{"u2", "u0"}, IngestUser{"fuzz"},
-           IngestCategory{"c"}, IngestObject{"movies", "o"},
-           IngestReview{"u3", 0}, IngestRating{"u3", 1, 0.8},
-           CommitRequest{}, StatsRequest{}, MetricsRequest{},
-           ReplFetchRequest{/*shard=*/0, /*applied_version=*/3,
-                            /*offset=*/0},
-           ReplStatusRequest{}, ReplPromoteRequest{}}) {
-    Request request;
-    request.id = id++;
-    request.payload = std::move(payload);
+  for (const Request& request : testing::SampleRequests()) {
     frames.push_back(EncodeRequestBinary(request));
   }
   return frames;
