@@ -1,5 +1,7 @@
 #include "wot/api/api.h"
 
+#include "wot/api/wire_schema.h"
+
 namespace wot {
 namespace api {
 
@@ -70,21 +72,6 @@ Status ToStatus(const ApiStatus& status) {
   }
   return Status::Internal(status.message);
 }
-
-namespace {
-
-// Indexed by RequestPayload variant alternative.
-const char* const kMethodNames[] = {
-    "trust",         "topk",          "explain",      "ingest_user",
-    "ingest_category", "ingest_object", "ingest_review", "ingest_rating",
-    "commit",        "stats",         "metrics",      "repl_fetch",
-    "repl_status",   "repl_promote",
-};
-static_assert(sizeof(kMethodNames) / sizeof(kMethodNames[0]) ==
-                  std::variant_size_v<RequestPayload>,
-              "method name table out of sync with RequestPayload");
-
-}  // namespace
 
 const char* MethodName(const RequestPayload& payload) {
   return kMethodNames[payload.index()];

@@ -14,11 +14,12 @@
 //   12      4     payload length (bytes after the 16-byte header)
 //   16      n     payload
 //
-// The payload is the method/result struct's fields in declaration order:
-// integers as little-endian fixed width, doubles as IEEE-754 bits in a
-// little-endian u64, strings u32-length-prefixed, vectors a u32 count
-// followed by the elements. An error response carries the status message
-// string as its entire payload.
+// The payload is the method/result struct's fields in the order its
+// wire_schema.h description lists them (declaration order, shared with
+// the NDJSON codec): integers as little-endian fixed width, doubles as
+// IEEE-754 bits in a little-endian u64, strings u32-length-prefixed,
+// vectors a u32 count followed by the elements. An error response
+// carries the status message string as its entire payload.
 //
 // Decoding is total: any malformed frame comes back as a non-OK ApiStatus
 // (with the id salvaged from the header when at least 12 bytes arrived),

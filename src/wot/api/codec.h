@@ -8,6 +8,9 @@
 //              "snapshot_version":3}}
 //   error:    {"v":1,"id":7,"status":"NOT_FOUND","error":"no user ..."}
 //
+// Which fields each message carries, under which keys and in which order,
+// is stated once in wire_schema.h, shared with the binary codec.
+//
 // Encoding is deterministic (fixed key order, shortest round-trip doubles)
 // so a response stream can be byte-diffed in tests. Decoding is strict and
 // total: any malformed frame comes back as a non-OK ApiStatus, never a

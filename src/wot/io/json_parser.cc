@@ -76,6 +76,15 @@ JsonValue JsonValue::MakeNumber(double value) {
   return v;
 }
 
+JsonValue JsonValue::MakeInteger(int64_t value) {
+  JsonValue v;
+  v.kind_ = Kind::kNumber;
+  v.number_ = static_cast<double>(value);
+  v.number_is_int_ = true;
+  v.int_ = value;
+  return v;
+}
+
 JsonValue JsonValue::MakeString(std::string value) {
   JsonValue v;
   v.kind_ = Kind::kString;
@@ -348,7 +357,11 @@ class Parser {
     while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
       ++pos_;
     }
+    // An integral token that fits int64 is parsed as one: through double
+    // it would be rounded above 2^53.
+    bool integral = true;
     if (Consume('.')) {
+      integral = false;
       if (pos_ >= text_.size() || text_[pos_] < '0' || text_[pos_] > '9') {
         return Error("digits required after decimal point");
       }
@@ -358,6 +371,7 @@ class Parser {
       }
     }
     if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      integral = false;
       ++pos_;
       if (pos_ < text_.size() &&
           (text_[pos_] == '+' || text_[pos_] == '-')) {
@@ -371,16 +385,24 @@ class Parser {
         ++pos_;
       }
     }
-    double value = 0.0;
     std::string_view token = text_.substr(start, pos_ - start);
-    std::from_chars_result r =
-        std::from_chars(token.data(), token.data() + token.size(), value);
+    const char* end = token.data() + token.size();
+    // "-0" takes the double path, which keeps its sign.
+    if (integral && token != "-0") {
+      int64_t exact = 0;
+      std::from_chars_result r = std::from_chars(token.data(), end, exact);
+      if (r.ec == std::errc() && r.ptr == end) {
+        return JsonValue::MakeInteger(exact);
+      }
+    }
+    double value = 0.0;
+    std::from_chars_result r = std::from_chars(token.data(), end, value);
     if (r.ec == std::errc::result_out_of_range) {
       // Overflowing literals clamp to +/-HUGE_VAL per from_chars; a
       // non-finite number is not representable in JSON, so reject.
       return Error("number out of range");
     }
-    if (r.ec != std::errc() || r.ptr != token.data() + token.size()) {
+    if (r.ec != std::errc() || r.ptr != end) {
       return Error("invalid number");
     }
     return JsonValue::MakeNumber(value);

@@ -9,7 +9,9 @@
 // Numbers are held as double (parsed with std::from_chars, so a double
 // written by JsonWriter round-trips bit-identically) plus an
 // is-representable-as-int64 flag for fields that are semantically
-// integers (ids, counts).
+// integers (ids, counts). A token without fraction or exponent that fits
+// int64 keeps its exact integer value; other integral numbers ("3.0",
+// "1e2") are integers when their double value fits int64.
 //
 // \uXXXX escapes are decoded to UTF-8 (surrogate pairs supported); other
 // bytes pass through unvalidated, which is fine for the protocol's ASCII
@@ -74,6 +76,8 @@ class JsonValue {
   static JsonValue MakeNull();
   static JsonValue MakeBool(bool value);
   static JsonValue MakeNumber(double value);
+  /// An integer held exactly (number_value() is its nearest double).
+  static JsonValue MakeInteger(int64_t value);
   static JsonValue MakeString(std::string value);
   static JsonValue MakeArray(std::vector<JsonValue> items);
   static JsonValue MakeObject(
