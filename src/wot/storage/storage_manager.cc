@@ -162,20 +162,16 @@ StorageManager::StorageManager(std::string dir, StorageOptions options,
       segment_epoch_(segment_epoch),
       segment_bytes_(segment_bytes),
       replayed_records_(replayed_records) {
-  if (options_.background_rotation) {
-    rotation_thread_ = std::thread([this] { RotationLoop(); });
-  }
+  rotation_thread_ = std::thread([this] { RotationLoop(); });
 }
 
 StorageManager::~StorageManager() {
-  if (rotation_thread_.joinable()) {
-    {
-      MutexLock lock(rotation_mu_);
-      rotation_stop_ = true;
-      rotation_cv_.NotifyAll();
-    }
-    rotation_thread_.join();
+  {
+    MutexLock lock(rotation_mu_);
+    rotation_stop_ = true;
+    rotation_cv_.NotifyAll();
   }
+  rotation_thread_.join();
 }
 
 void StorageManager::AppendMutation(const WalRecord& record) {
@@ -290,33 +286,16 @@ void StorageManager::RotateLocked(
   }
   wal_ = std::move(next_wal).ValueOrDie();
 
-  if (rotation_thread_.joinable()) {
-    // Hand the segment write to the rotation thread. The snapshot is
-    // shared (cheap); the staged dataset must be copied — it is only
-    // valid for the duration of the LogCommit call.
-    auto job = std::make_unique<RotationJob>();
-    job->version = version;
-    job->snapshot = snapshot;
-    job->staged = staged;
-    MutexLock lock(rotation_mu_);
-    pending_rotation_ = std::move(job);  // coalesce: newest version wins
-    rotation_cv_.NotifyAll();
-    return;
-  }
-
-  telemetry::Timer timer;
-  Result<uint64_t> bytes = WriteSegmentAndRetire(version, *snapshot, staged);
-  timer.RecordInto(segment_write_ns_);
-  if (!bytes.ok()) {
-    WOT_LOG(Error) << "segment write failed for version " << version
-                   << " (wal chain still covers it): "
-                   << bytes.status().message();
-    return;
-  }
-  segment_epoch_ = version;
-  segment_bytes_ = bytes.ValueOrDie();
-  rotations_->Increment();
-  rotation_bytes_->Increment(static_cast<int64_t>(segment_bytes_));
+  // Hand the segment write to the rotation thread. The snapshot is
+  // shared (cheap); the staged dataset must be copied — it is only valid
+  // for the duration of the LogCommit call.
+  auto job = std::make_unique<RotationJob>();
+  job->version = version;
+  job->snapshot = snapshot;
+  job->staged = staged;
+  MutexLock lock(rotation_mu_);
+  pending_rotation_ = std::move(job);  // coalesce: newest version wins
+  rotation_cv_.NotifyAll();
 }
 
 Result<uint64_t> StorageManager::WriteSegmentAndRetire(

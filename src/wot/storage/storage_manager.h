@@ -12,9 +12,12 @@
 // commit record and forces a sync; when the commit published a new
 // snapshot version V, the manager rotates — it opens wal-<V>.log FIRST
 // (so the record chain never has a gap even if the segment write then
-// fails), writes segment-<V>.seg atomically, and retires files outside
-// the retention window (keep_segments newest segments plus every WAL
-// at or past the oldest kept segment's epoch).
+// fails) and queues segment-<V>.seg for its rotation thread, which
+// writes it atomically and retires files outside the retention window
+// (keep_segments newest segments plus every WAL at or past the oldest
+// kept segment's epoch). Queued writes coalesce: a newer published
+// version replaces a queued older one, and the WAL chain covers any
+// skipped segment.
 //
 // Recovery (Boot): map the newest CRC-valid segment, Restore a service
 // from it instantly (no reputation recomputation), then replay every
@@ -59,15 +62,6 @@ struct StorageOptions {
   /// Newest segments kept on disk. Older segments — and the WALs that
   /// predate the oldest keeper — are deleted at rotation. Minimum 1.
   size_t keep_segments = 2;
-  /// Serialize snapshot segments on a background thread instead of
-  /// inside LogCommit (the WAL append + fsync and the wal-<V> rotation
-  /// stay synchronous, so the record chain ordering is unchanged; only
-  /// the segment write and retention move off the commit path). Pending
-  /// writes coalesce — a newer published version replaces a queued
-  /// older one; the WAL chain covers any skipped segment. Tests that
-  /// assert on segment files right after a commit call WaitForIdle()
-  /// or disable this.
-  bool background_rotation = true;
 };
 
 /// \brief Durably backs one TrustService; attach via SetMutationLog.
@@ -114,9 +108,9 @@ class StorageManager : public MutationLog {
       WOT_EXCLUDES(mu_, rotation_mu_);
   DurabilityStats durability_stats() const override WOT_EXCLUDES(mu_);
 
-  /// \brief Blocks until no segment write is queued or in flight. A
-  /// no-op under synchronous rotation. Call before inspecting segment
-  /// files (tests) or before shipping "the newest segment" assumptions.
+  /// \brief Blocks until no segment write is queued or in flight. Call
+  /// before inspecting segment files (tests) or before shipping "the
+  /// newest segment" assumptions.
   void WaitForIdle() WOT_EXCLUDES(rotation_mu_);
 
   const std::string& dir() const { return dir_; }
@@ -132,7 +126,7 @@ class StorageManager : public MutationLog {
 
  private:
   /// One queued background segment write (the newest published version
-  /// wins; see StorageOptions::background_rotation).
+  /// wins).
   struct RotationJob {
     uint64_t version = 0;
     std::shared_ptr<const TrustSnapshot> snapshot;
@@ -147,9 +141,8 @@ class StorageManager : public MutationLog {
   void AppendMutation(const WalRecord& record) WOT_REQUIRES(mu_);
 
   /// Opens wal-<version> (the synchronous half of a rotation — the
-  /// record chain must never gap) and either writes segment-<version>
-  /// inline or hands it to the rotation thread. Failures degrade
-  /// gracefully (see file comment).
+  /// record chain must never gap) and hands segment-<version> to the
+  /// rotation thread. Failures degrade gracefully (see file comment).
   void RotateLocked(uint64_t version,
                     const std::shared_ptr<const TrustSnapshot>& snapshot,
                     const Dataset& staged)

@@ -45,6 +45,10 @@ struct PrimaryStack {
   storage::DurableService durable;
   std::unique_ptr<ReplicationSource> source;
   api::Frontend* frontend() { return durable.frontend; }
+  /// Blocks until every shard's queued segment write and retention ran.
+  void WaitForIdle() {
+    for (const auto& manager : durable.managers) manager->WaitForIdle();
+  }
 };
 
 PrimaryStack MakePrimary(const std::string& dir,
@@ -151,9 +155,9 @@ TEST(ReplicationTest, BootstrapFromSegmentIsBitIdentical) {
 
 TEST(ReplicationTest, EpochWalkAppliesOneWalPerStepAndReportsLag) {
   storage::StorageOptions options = NoSync();
-  // Synchronous rotation + a wide retention window: every epoch's wal
-  // file survives, so the per-epoch cursor walk below is deterministic.
-  options.background_rotation = false;
+  // A wide retention window, and each commit's rotation finished before
+  // the next: every epoch's wal file survives, so the per-epoch cursor
+  // walk below is deterministic.
   options.keep_segments = 10;
   PrimaryStack primary =
       MakePrimary(FreshDir("repl_walk_p"), options);
@@ -165,7 +169,9 @@ TEST(ReplicationTest, EpochWalkAppliesOneWalPerStepAndReportsLag) {
   // Two more primary epochs: the commit-v2 record lands in wal-1 (the
   // rotation then opens wal-2), commit-v3 in wal-2.
   CommitRound(primary.frontend(), 0);
+  primary.WaitForIdle();
   CommitRound(primary.frontend(), 1);
+  primary.WaitForIdle();
 
   // Step 1 consumes wal-1: applied 2, source already at 3 -> lag 1.
   Result<bool> step = replica->Step();
@@ -248,7 +254,6 @@ TEST(ReplicationTest, RestartResumesFromDeltaNeverReships) {
 
 TEST(ReplicationTest, FallingPastRetentionFailsCleanly) {
   storage::StorageOptions options = NoSync();
-  options.background_rotation = false;
   options.keep_segments = 1;  // aggressive retention: only the newest
   PrimaryStack primary = MakePrimary(FreshDir("repl_retire_p"), options);
   std::unique_ptr<ReplicaService> replica =
@@ -258,7 +263,9 @@ TEST(ReplicationTest, FallingPastRetentionFailsCleanly) {
 
   // Two epochs retire wal-1 (retention keeps only epoch >= 3's chain).
   CommitRound(primary.frontend(), 0);
+  primary.WaitForIdle();
   CommitRound(primary.frontend(), 1);
+  primary.WaitForIdle();
 
   Result<bool> step = replica->Step();
   ASSERT_FALSE(step.ok());

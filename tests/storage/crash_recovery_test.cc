@@ -118,6 +118,29 @@ void SendToBoth(api::ApiClient* server, api::Frontend* reference,
       << "request id " << request.id;
 }
 
+/// Polls the live server's stats until its newest durable segment is
+/// \p version. Segments are written on the storage manager's rotation
+/// thread after the commit is acked; a SIGKILL before that write lands
+/// makes recovery replay from the older segment, so the replayed-record
+/// count would include records the killed server had already folded into
+/// a published commit.
+void WaitForSegmentEpoch(api::ApiClient* server, uint64_t version) {
+  int64_t segment_epoch = 0;
+  for (int attempt = 0; attempt < 1000; ++attempt) {
+    Result<api::Response> response =
+        server->Call(MakeRequest(4000 + attempt, api::StatsRequest{}));
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_TRUE(response.ValueOrDie().status.ok());
+    segment_epoch = std::get<api::StatsResult>(
+                        response.ValueOrDie().payload)
+                        .segment_epoch;
+    if (segment_epoch >= static_cast<int64_t>(version)) return;
+    usleep(10 * 1000);
+  }
+  FAIL() << "segment-" << version << " not written within 10 s (newest: "
+         << segment_epoch << ")";
+}
+
 /// The acked logical history, phase by phase.
 std::vector<api::Request> Phase1Requests() {
   std::vector<api::Request> requests;
@@ -180,6 +203,10 @@ TEST(CrashRecoveryTest, SigkillMidStreamLosesNothingAcked) {
       SendToBoth(client.get(), &reference, request);
       if (::testing::Test::HasFatalFailure()) return;
     }
+    // Phase 1's records are folded into the segment of its commit.
+    WaitForSegmentEpoch(client.get(),
+                        reference_service->Snapshot()->version());
+    if (::testing::Test::HasFatalFailure()) return;
     for (const api::Request& request : Phase2Requests()) {
       SendToBoth(client.get(), &reference, request);
       if (::testing::Test::HasFatalFailure()) return;
