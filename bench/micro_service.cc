@@ -403,14 +403,12 @@ int Main(int argc, char** argv) {
       /*server_threads=*/4, /*clients=*/8, per_client,
       wire.ValueOrDie());
 
-  // Fan-out latency, serial vs pooled: the same commit (all shards
-  // recompute) and topk scatter (all shards answer one query), with
-  // RunOnShards pinned to the serial loop and then released onto the
-  // ThreadPool. The delta is the win the pool buys at this shard count.
+  // Fan-out latency: a commit that dirties every shard (the shard
+  // commits run one thread per shard) and a topk scatter by index (one
+  // contributing shard, served on the calling thread).
   int64_t router_commit_seq = 0;
   int64_t next_object = 0;
-  auto measure_router_commit = [&](bool parallel) {
-    router->set_parallel_fanout(parallel);
+  auto measure_router_commit = [&] {
     constexpr int kRouterCommits = 5;
     double total_ms = 0.0;
     for (int c = 0; c < kRouterCommits; ++c) {
@@ -466,8 +464,7 @@ int Main(int argc, char** argv) {
     }
     return total_ms / kRouterCommits;
   };
-  auto measure_router_topk = [&](bool parallel) {
-    router->set_parallel_fanout(parallel);
+  auto measure_router_topk = [&] {
     double sink = 0.0;
     timer.Reset();
     for (int64_t q = 0; q < api_queries; ++q) {
@@ -486,10 +483,8 @@ int Main(int argc, char** argv) {
     WOT_CHECK(sink > 0.0);
     return us;
   };
-  const double router_commit_serial_ms = measure_router_commit(false);
-  const double router_topk_serial_us = measure_router_topk(false);
-  const double router_commit_ms = measure_router_commit(true);
-  const double router_topk_us = measure_router_topk(true);
+  const double router_commit_ms = measure_router_commit();
+  const double router_topk_us = measure_router_topk();
 
   std::printf("service boot (full build + v1 publish):  %10.2f ms\n"
               "durable fresh boot (build + segment):    %10.2f ms\n"
@@ -509,10 +504,8 @@ int Main(int argc, char** argv) {
               "router binary round trip (trust):        %10.3f us\n"
               "router throughput, 1 client:             %10.0f qps\n"
               "router throughput, 8 clients:            %10.0f qps\n"
-              "router commit fan-out, serial:           %10.2f ms\n"
-              "router commit fan-out, pooled:           %10.2f ms\n"
-              "router topk scatter, serial:             %10.3f us\n"
-              "router topk scatter, pooled:             %10.3f us\n"
+              "router commit fan-out (all shards dirty): %9.2f ms\n"
+              "router topk scatter:                     %10.3f us\n"
               "(checksums: %.3f %zu %zu %.3f %.3f %.3f %.3f)\n",
               boot_ms, durable_fresh_boot_ms, durable_boot_ms, trust_us,
               topk_us, explain_us, api_trust_us,
@@ -522,10 +515,9 @@ int Main(int argc, char** argv) {
               protocol.c_str(), server_qps_c8,
               static_cast<long long>(shards), router_boot_ms,
               router_trust_us, router_trust_binary_us, router_qps_c1,
-              router_qps_c8, router_commit_serial_ms, router_commit_ms,
-              router_topk_serial_us, router_topk_us, checksum, topk_sum,
-              term_sum, api_checksum, router_checksum, binary_checksum,
-              router_binary_checksum);
+              router_qps_c8, router_commit_ms, router_topk_us, checksum,
+              topk_sum, term_sum, api_checksum, router_checksum,
+              binary_checksum, router_binary_checksum);
 
   BenchReport report;
   report.AddString("bench", "micro_service");
@@ -553,14 +545,9 @@ int Main(int argc, char** argv) {
                    router_trust_binary_us);
   report.AddNumber("router_qps_1client", router_qps_c1);
   report.AddNumber("router_qps_8clients", router_qps_c8);
-  report.AddNumber("router_commit_fanout_serial_ms",
-                   router_commit_serial_ms);
   report.AddNumber("router_commit_fanout_ms", router_commit_ms);
-  report.AddNumber("router_topk_scatter_serial_us", router_topk_serial_us);
   report.AddNumber("router_topk_scatter_us", router_topk_us);
-  // The fan-out delta only means something relative to the cores the
-  // pool had: at hardware_threads=1 the pooled numbers are pure
-  // handoff overhead.
+  // The commit fan-out only overlaps shard commits given the cores.
   report.AddInt("hardware_threads",
                 static_cast<int64_t>(std::thread::hardware_concurrency()));
 

@@ -1,7 +1,6 @@
 #include "wot/api/shard_router.h"
 
 #include <algorithm>
-#include <iterator>
 #include <optional>
 #include <utility>
 #include <variant>
@@ -9,6 +8,7 @@
 #include "wot/telemetry/timed.h"
 #include "wot/telemetry/trace.h"
 #include "wot/util/check.h"
+#include "wot/util/parallel_for.h"
 #include "wot/util/string_util.h"
 
 namespace wot {
@@ -88,11 +88,6 @@ void ShardRouter::InitTelemetry() {
     shard->read_floor.store(shard->service->Snapshot()->version(),
                             std::memory_order_release);
   }
-  if (shards_.size() >= 2) {
-    // Fan-out workers: one per shard is the widest a single dispatch
-    // spreads. One shard keeps the serial path (bit-identity baseline).
-    pool_ = std::make_unique<ThreadPool>(shards_.size());
-  }
 }
 
 void ShardRouter::AddReplica(size_t shard,
@@ -107,43 +102,6 @@ void ShardRouter::AddReplica(size_t shard,
   ReplicationHandler* prior = replication_handler();
   if (prior != nullptr && prior != this) fetch_delegate_ = prior;
   set_replication_handler(this);
-}
-
-void ShardRouter::RunOnShards(const std::function<void(size_t)>& body) {
-  const size_t count = shards_.size();
-  if (pool_ == nullptr || count < 2 ||
-      !parallel_fanout_.load(std::memory_order_relaxed)) {
-    for (size_t s = 0; s < count; ++s) body(s);
-    return;
-  }
-  // Per-call completion state: Wait()ing on the pool would also wait on
-  // other dispatches' tasks.
-  struct Completion {
-    Mutex mu;
-    CondVar done;
-    size_t remaining WOT_GUARDED_BY(mu);
-  } completion;
-  {
-    MutexLock lock(completion.mu);
-    completion.remaining = count;
-  }
-  for (size_t s = 0; s < count; ++s) {
-    bool accepted = pool_->Submit([&body, &completion, s] {
-      body(s);
-      MutexLock lock(completion.mu);
-      if (--completion.remaining == 0) completion.done.NotifyAll();
-    });
-    if (!accepted) {
-      // Stopped pool (shutdown race): run inline and count it off.
-      body(s);
-      MutexLock lock(completion.mu);
-      if (--completion.remaining == 0) completion.done.NotifyAll();
-    }
-  }
-  MutexLock lock(completion.mu);
-  while (completion.remaining > 0) {
-    completion.done.Wait(completion.mu);
-  }
 }
 
 ReplicaProbe ShardRouter::Probe(ReplicaSlot* slot) {
@@ -206,8 +164,7 @@ Response ShardRouter::DispatchShardRead(
 ApiStatus ShardRouter::AwaitWriteQuorum() {
   const int64_t quorum = write_quorum_.load(std::memory_order_relaxed);
   if (quorum <= 1) return ApiStatus::Ok();  // the primary satisfies it
-  const int64_t timeout_ns =
-      quorum_timeout_millis_.load(std::memory_order_relaxed) * 1'000'000;
+  constexpr int64_t kTimeoutNanos = kQuorumTimeoutMillis * 1'000'000;
   telemetry::Timer timer;
   for (size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
@@ -219,7 +176,7 @@ ApiStatus ShardRouter::AwaitWriteQuorum() {
         if (probe.healthy && probe.applied_version >= target) ++have;
       }
       if (have >= quorum) break;
-      if (timer.ElapsedNanos() >= timeout_ns) {
+      if (timer.ElapsedNanos() >= kTimeoutNanos) {
         quorum_wait_ns_->Record(timer.ElapsedNanos());
         return ApiStatus::Internal(
             "write quorum " + std::to_string(quorum) +
@@ -287,80 +244,65 @@ ServiceFrontend* ShardRouter::Touch(size_t shard) {
   return shards_[shard]->frontend.get();
 }
 
-// Mirrors ResolveUserRef's error statuses byte for byte (the one-shard
-// router must be indistinguishable from a bare frontend), with the range
-// check running against the summed global population.
-Result<ShardRouter::ResolvedUser> ShardRouter::ResolvePublished(
-    const SnapshotSet& snapshots, std::string_view ref) const {
+template <class FindName>
+Result<ShardRouter::ResolvedUser> ShardRouter::ResolveUser(
+    std::string_view ref, size_t total_users,
+    const FindName& find_name) const {
   if (ref.empty()) {
     return Status::InvalidArgument(kEmptyUserRefMessage);
   }
   Result<int64_t> as_index = ParseInt64(ref);
   if (as_index.ok()) {
-    int64_t global = as_index.ValueOrDie();
-    size_t total = 0;
-    for (const std::shared_ptr<const TrustSnapshot>& snapshot :
-         snapshots) {
-      total += snapshot->num_users();
+    const int64_t global = as_index.ValueOrDie();
+    if (global < 0 || static_cast<uint64_t>(global) >= total_users) {
+      return Status::NotFound(UserIndexOutOfRangeMessage(ref, total_users));
     }
-    if (global < 0 || static_cast<size_t>(global) >= total) {
-      return Status::NotFound(UserIndexOutOfRangeMessage(ref, total));
-    }
-    ResolvedUser resolved;
-    resolved.shard =
-        ShardOfUser(static_cast<uint64_t>(global), shards_.size());
-    resolved.local =
-        ShardLocalUser(static_cast<uint64_t>(global), shards_.size());
-    resolved.by_index = true;
-    // The snapshots were loaded shard by shard, so a commit fan-out
-    // racing this read can make the SUM admit an index whose own
-    // shard's snapshot (as loaded) does not carry it yet. Queries on
-    // that shard would treat the local index as out of range — but the
-    // name lookups behind source_name/trustee names hard-check, so gate
-    // here. With one shard total == that snapshot's count, so this
-    // branch never fires spuriously (bit-identity preserved).
-    if (resolved.local >= snapshots[resolved.shard]->num_users()) {
-      return Status::NotFound("user index " + std::string(ref) +
-                              " is not published on its shard yet");
-    }
-    return resolved;
+    const auto g = static_cast<uint64_t>(global);
+    return ResolvedUser{ShardOfUser(g, shards_.size()),
+                        ShardLocalUser(g, shards_.size()), true};
   }
-  for (size_t s = 0; s < snapshots.size(); ++s) {
-    std::optional<uint32_t> id = snapshots[s]->user_names().Find(ref);
-    if (id.has_value()) {
-      return ResolvedUser{s, *id, false};
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    if (std::optional<uint32_t> local = find_name(s)) {
+      return ResolvedUser{s, *local, false};
     }
   }
   return Status::NotFound(NoUserNamedMessage(ref));
 }
 
+Result<ShardRouter::ResolvedUser> ShardRouter::ResolvePublished(
+    const SnapshotSet& snapshots, std::string_view ref) const {
+  size_t total = 0;
+  for (const std::shared_ptr<const TrustSnapshot>& snapshot : snapshots) {
+    total += snapshot->num_users();
+  }
+  WOT_ASSIGN_OR_RETURN(
+      ResolvedUser resolved,
+      ResolveUser(ref, total, [&](size_t s) {
+        return snapshots[s]->user_names().Find(ref);
+      }));
+  // The snapshots were loaded shard by shard, so a commit fan-out racing
+  // this read can make the SUM admit an index whose own shard's snapshot
+  // (as loaded) does not carry it yet. Queries on that shard would treat
+  // the local index as out of range — but the name lookups behind
+  // source_name/trustee names hard-check, so gate here. A name hit is
+  // always in range, and with one shard total == that snapshot's count,
+  // so this never fires spuriously (bit-identity preserved).
+  if (resolved.local >= snapshots[resolved.shard]->num_users()) {
+    return Status::NotFound("user index " + std::string(ref) +
+                            " is not published on its shard yet");
+  }
+  return resolved;
+}
+
 Result<ShardRouter::ResolvedUser> ShardRouter::ResolveStagedLocked(
     std::string_view ref) {
-  if (ref.empty()) {
-    return Status::InvalidArgument(kEmptyUserRefMessage);
-  }
-  Result<int64_t> as_index = ParseInt64(ref);
-  if (as_index.ok()) {
-    int64_t global = as_index.ValueOrDie();
-    if (global < 0 || global >= staged_global_users_) {
-      return Status::NotFound(UserIndexOutOfRangeMessage(
-          ref, static_cast<size_t>(staged_global_users_)));
-    }
-    ResolvedUser resolved;
-    resolved.shard =
-        ShardOfUser(static_cast<uint64_t>(global), shards_.size());
-    resolved.local =
-        ShardLocalUser(static_cast<uint64_t>(global), shards_.size());
-    resolved.by_index = true;
-    return resolved;
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    Result<UserId> id = shards_[s]->service->ResolveStagedUserRef(ref);
-    if (id.ok()) {
-      return ResolvedUser{s, id.ValueOrDie().value(), false};
-    }
-  }
-  return Status::NotFound(NoUserNamedMessage(ref));
+  return ResolveUser(
+      ref, static_cast<size_t>(staged_global_users_),
+      [&](size_t s) -> std::optional<uint32_t> {
+        Result<UserId> id = shards_[s]->service->ResolveStagedUserRef(ref);
+        if (!id.ok()) return std::nullopt;
+        return id.ValueOrDie().value();
+      });
 }
 
 Response ShardRouter::RouteTrustLike(const Request& request,
@@ -407,12 +349,14 @@ Response ShardRouter::RouteTrustLike(const Request& request,
     explain->source = std::to_string(s.local);
     explain->target = std::to_string(t.local);
   }
-  telemetry::SetDispatchShard(static_cast<int64_t>(s.shard));
   Response response;
   {
     WOT_TIMED(fanout_latency_ns_);
     response = DispatchShardRead(s.shard, local, connection);
   }
+  // After the shard read: the shard frontend's (or an in-process
+  // replica's) Dispatch clears the annotation on entry.
+  telemetry::SetDispatchShard(static_cast<int64_t>(s.shard));
   if (sharded && response.status.ok()) {
     if (TrustResult* trust = std::get_if<TrustResult>(&response.payload)) {
       trust->snapshot_version = epoch;
@@ -467,71 +411,44 @@ Response ShardRouter::DispatchPayload(const Request& request,
           snapshots[home.shard]->user_names().name(home.local);
       result.snapshot_version =
           num_shards >= 2 ? epoch : snapshots[home.shard]->version();
-      // Scatter: every shard hosting the source contributes its local
-      // top-k (an index ref lives on exactly one shard; a name may be
-      // staged on several). Shards without the source — empty shards
-      // included — contribute nothing.
-      // Per-shard result buckets: the legs run concurrently over the
-      // router pool (serially with one shard), and the shard-ordered
-      // concatenation below feeds the same deterministic global merge
-      // the sequential scatter produced.
-      std::vector<std::vector<ScoredUserEntry>> buckets(num_shards);
-      std::vector<uint8_t> contributed(num_shards, 0);
+      // Scatter, on this thread: every shard hosting the source
+      // contributes its local top-k through DispatchShardRead (an index
+      // ref lives on exactly one shard; a name may be staged on several).
+      // Shards without the source — empty shards included — contribute
+      // nothing. Legs run in shard order, so the merge input is
+      // deterministic.
+      std::vector<ScoredUserEntry>& merged = result.trustees;
+      int64_t scatter_width = 0;
       {
         WOT_TIMED(router.fanout_latency_ns_);
-        router.RunOnShards([&](size_t s) {
+        for (size_t s = 0; s < num_shards; ++s) {
           std::optional<uint32_t> local;
-          if (home.by_index) {
-            if (s == home.shard) local = home.local;
-          } else {
+          if (!home.by_index) {
             local = snapshots[s]->user_names().Find(q.source);
+          } else if (s == home.shard) {
+            local = home.local;
           }
-          if (!local.has_value()) return;
-          contributed[s] = 1;
-          // An eligible replica serves this leg; any failure falls back
-          // to the shard's own snapshot.
-          if (ReplicaSlot* slot = router.PickReplica(s)) {
-            Request leg;
-            leg.payload = TopKQuery{std::to_string(*local), q.k};
-            std::optional<Response> forwarded =
-                slot->handle->Forward(leg);
-            if (forwarded.has_value() && forwarded->status.ok()) {
-              if (const TopKResult* remote =
-                      std::get_if<TopKResult>(&forwarded->payload)) {
-                router.replica_reads_->Increment();
-                for (const ScoredUserEntry& entry : remote->trustees) {
-                  buckets[s].push_back(
-                      {static_cast<uint32_t>(GlobalUserOfShard(
-                           entry.user, s, num_shards)),
-                       entry.name, entry.score});
-                }
-                return;
-              }
-            }
-            if (!forwarded.has_value()) {
-              slot->healthy.store(false, std::memory_order_release);
-            }
+          if (!local.has_value()) continue;
+          ++scatter_width;
+          Request leg = request;
+          leg.payload = TopKQuery{std::to_string(*local), q.k};
+          Response answer = router.DispatchShardRead(s, leg, connection);
+          TopKResult* part = std::get_if<TopKResult>(&answer.payload);
+          if (part == nullptr) {
+            if (!answer.status.ok()) return answer;
+            return ErrorResponse(ApiStatus::Internal(
+                "topk leg on shard " + std::to_string(s) +
+                " answered without a topk result"));
           }
-          router.Touch(s);
-          for (const ScoredUser& scored :
-               snapshots[s]->TopK(*local, static_cast<size_t>(q.k))) {
-            buckets[s].push_back(
-                {static_cast<uint32_t>(
-                     GlobalUserOfShard(scored.user, s, num_shards)),
-                 snapshots[s]->user_names().name(scored.user),
-                 scored.score});
+          for (ScoredUserEntry& entry : part->trustees) {
+            entry.user = static_cast<uint32_t>(
+                GlobalUserOfShard(entry.user, s, num_shards));
+            merged.push_back(std::move(entry));
           }
-        });
-      }
-      std::vector<ScoredUserEntry> merged;
-      int64_t scatter_width = 0;
-      for (size_t s = 0; s < num_shards; ++s) {
-        scatter_width += contributed[s];
-        merged.insert(merged.end(),
-                      std::make_move_iterator(buckets[s].begin()),
-                      std::make_move_iterator(buckets[s].end()));
+        }
       }
       router.scatter_width_->Record(scatter_width);
+      telemetry::SetDispatchShard(static_cast<int64_t>(home.shard));
       // Gather: per-shard lists arrive in TopK order (score desc, local
       // id asc); the global merge keeps the same total order, so one
       // shard degenerates to the bare frontend's list exactly.
@@ -543,7 +460,6 @@ Response ShardRouter::DispatchPayload(const Request& request,
       if (merged.size() > static_cast<size_t>(q.k)) {
         merged.resize(static_cast<size_t>(q.k));
       }
-      result.trustees = std::move(merged);
       Response response;
       response.payload = std::move(result);
       return response;
@@ -731,7 +647,7 @@ Response ShardRouter::DispatchPayload(const Request& request,
     Response operator()(const CommitRequest&) {
       MutexLock lock(router.ingest_mu_);
       const size_t num_shards = router.shards_.size();
-      // Per-shard commits run concurrently over the router pool (the
+      // Per-shard commits run concurrently, one thread per shard (the
       // recompute is the expensive leg; shard services are independent).
       // Outcomes land in indexed slots; the first failing shard BY INDEX
       // is reported, so the error is deterministic regardless of
@@ -740,16 +656,19 @@ Response ShardRouter::DispatchPayload(const Request& request,
       std::vector<Status> outcomes(num_shards, Status::OK());
       {
         WOT_TIMED(router.fanout_latency_ns_);
-        router.RunOnShards([&](size_t s) {
-          router.Touch(s);
-          Result<TrustService::CommitStats> shard_stats =
-              router.shards_[s]->service->Commit();
-          if (shard_stats.ok()) {
-            stats[s] = shard_stats.ValueOrDie();
-          } else {
-            outcomes[s] = shard_stats.status();
-          }
-        });
+        ParallelFor(
+            num_shards,
+            [&](size_t s) {
+              router.Touch(s);
+              Result<TrustService::CommitStats> shard_stats =
+                  router.shards_[s]->service->Commit();
+              if (shard_stats.ok()) {
+                stats[s] = shard_stats.ValueOrDie();
+              } else {
+                outcomes[s] = shard_stats.status();
+              }
+            },
+            num_shards);
       }
       CommitResult result;
       bool any_published = false;

@@ -33,12 +33,17 @@
 // The router therefore never special-cases N == 1; the generic
 // resolve/scatter/merge path must degenerate exactly.
 //
-// Thread contract: same as any Frontend. Queries are lock-free against
-// per-shard published snapshots; ingest and commit serialize on a
-// router-level mutex (global id assignment and cross-shard fan-outs must
-// be atomic with respect to each other). The shards are router-owned:
-// ingesting into a shard's TrustService directly would break the dense
-// round-robin id invariant.
+// Thread contract: same as any Frontend. The router owns no threads.
+// Queries run on the calling thread, lock-free against per-shard
+// published snapshots: a point read is one shard read, and a topk
+// scatter visits its contributing shards in a plain loop (an index ref
+// has exactly one). A commit fans out with ParallelFor, one short-lived
+// thread per shard, so a commit that dirties every shard costs the
+// slowest shard commit rather than their sum. Ingest and commit
+// serialize on a router-level mutex (global id assignment and cross-
+// shard fan-outs must be atomic with respect to each other). The shards
+// are router-owned: ingesting into a shard's TrustService directly
+// would break the dense round-robin id invariant.
 #ifndef WOT_API_SHARD_ROUTER_H_
 #define WOT_API_SHARD_ROUTER_H_
 
@@ -57,7 +62,6 @@
 #include "wot/service/trust_service.h"
 #include "wot/service/trust_snapshot.h"
 #include "wot/util/thread_annotations.h"
-#include "wot/util/thread_pool.h"
 
 namespace wot {
 namespace api {
@@ -117,28 +121,17 @@ class ShardRouter : public Frontend, private ReplicationHandler {
   /// the router epoch bump publishes the commit. The default 1 is
   /// satisfied by the primary alone and is property-tested bit-identical
   /// to the pre-replication router. Quorums above 1 + the configured
-  /// replica count can never be met and fail every commit at the
-  /// timeout. Thread-safe.
+  /// replica count can never be met and fail every commit after
+  /// kQuorumTimeoutMillis. Thread-safe.
   void set_write_quorum(int64_t quorum) {
     write_quorum_.store(quorum < 1 ? 1 : quorum,
                         std::memory_order_relaxed);
   }
 
-  /// \brief How long a commit waits for the write quorum before
-  /// answering INTERNAL (without bumping the epoch — the commit is
-  /// durable on the primaries and a later commit publishes it).
-  void set_quorum_timeout_millis(int64_t millis) {
-    quorum_timeout_millis_.store(millis < 0 ? 0 : millis,
-                                 std::memory_order_relaxed);
-  }
-
-  /// \brief Forces commit fan-out and topk scatter onto the serial
-  /// per-shard loop (the pre-pool behavior). A benchmarking / debugging
-  /// knob — results are identical either way, only latency differs.
-  /// Thread-safe.
-  void set_parallel_fanout(bool enabled) {
-    parallel_fanout_.store(enabled, std::memory_order_relaxed);
-  }
+  /// How long a commit waits for the write quorum before answering
+  /// INTERNAL (without bumping the epoch — the commit is durable on the
+  /// primaries and a later commit publishes it).
+  static constexpr int64_t kQuorumTimeoutMillis = 2000;
 
   /// \brief Shard \p shard's service, for inspection (tests, stats
   /// tooling). Do NOT ingest through it — write traffic must go through
@@ -209,16 +202,21 @@ class ShardRouter : public Frontend, private ReplicationHandler {
       std::vector<std::shared_ptr<const TrustSnapshot>>;
   SnapshotSet LoadSnapshots() const;
 
-  /// Resolves \p ref against the published shard snapshots: a decimal ref
-  /// is range-checked against the summed user count and mapped by
-  /// arithmetic; a name is probed shard by shard (first hit wins). Error
-  /// statuses match ResolveUserRef byte for byte so one shard degenerates
-  /// exactly.
+  /// Resolves \p ref over \p total_users global users: a decimal ref is
+  /// range-checked and mapped by arithmetic; a name is probed shard by
+  /// shard through find_name(shard) -> optional local id (first hit
+  /// wins). Error statuses match ResolveUserRef byte for byte so one
+  /// shard degenerates exactly.
+  template <class FindName>
+  Result<ResolvedUser> ResolveUser(std::string_view ref, size_t total_users,
+                                   const FindName& find_name) const;
+
+  /// ResolveUser against the published shard snapshots, plus a gate for
+  /// an index whose own shard has not published it yet.
   Result<ResolvedUser> ResolvePublished(const SnapshotSet& snapshots,
                                         std::string_view ref) const;
 
-  /// The staged-side (ingest) counterpart, resolving against what the
-  /// shards have staged.
+  /// ResolveUser against what the shards have staged (ingest).
   Result<ResolvedUser> ResolveStagedLocked(std::string_view ref)
       WOT_REQUIRES(ingest_mu_);
 
@@ -229,12 +227,6 @@ class ShardRouter : public Frontend, private ReplicationHandler {
                           const ConnectionContext& connection,
                           std::string_view source_ref,
                           std::string_view target_ref);
-
-  /// \brief Runs body(s) for every shard index, over the router pool when
-  /// it exists (2+ shards), serially otherwise. Blocks until every
-  /// iteration completed — per-call completion tracking, so concurrent
-  /// dispatches never wait on each other's fan-outs.
-  void RunOnShards(const std::function<void(size_t)>& body);
 
   /// \brief Picks an eligible replica of \p shard for one read, round-
   /// robin over {replicas, primary}: a replica whose cached (refreshed
@@ -272,13 +264,6 @@ class ShardRouter : public Frontend, private ReplicationHandler {
   /// router. Written only by AddReplica (before serving traffic).
   ReplicationHandler* fetch_delegate_ = nullptr;
 
-  /// Fan-out workers (commit fan-out, topk scatter); null with one shard
-  /// — the serial path is the bit-identity baseline.
-  std::unique_ptr<ThreadPool> pool_;
-
-  /// set_parallel_fanout: false pins RunOnShards to the serial loop.
-  std::atomic<bool> parallel_fanout_{true};
-
   // Router-level instruments (resolved once in InitTelemetry; the base
   // registry outlives them).
   telemetry::LatencyHistogram* fanout_latency_ns_ = nullptr;
@@ -287,7 +272,6 @@ class ShardRouter : public Frontend, private ReplicationHandler {
   telemetry::Counter* replica_reads_ = nullptr;
 
   std::atomic<int64_t> write_quorum_{1};
-  std::atomic<int64_t> quorum_timeout_millis_{2000};
   /// Sleep slot for the quorum poll loop (nothing signals it; the wait
   /// is a bounded doze between polls).
   Mutex quorum_mu_;
