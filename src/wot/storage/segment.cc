@@ -54,8 +54,11 @@ void StoreU64(uint64_t v, char* p) {
 }
 
 // Raw f64 block helpers: straight memcpy on little-endian hosts, a
-// per-element byte shuffle otherwise, so the file format stays LE.
+// per-element byte shuffle otherwise, so the file format stays LE. An
+// empty matrix or vector hands them a null pointer, which memcpy and
+// append must not see even with a zero count.
 void AppendDoublesLE(const double* src, size_t count, std::string* out) {
+  if (count == 0) return;
   if constexpr (std::endian::native == std::endian::little) {
     out->append(reinterpret_cast<const char*>(src),
                 count * sizeof(double));
@@ -69,6 +72,7 @@ void AppendDoublesLE(const double* src, size_t count, std::string* out) {
 }
 
 void CopyDoublesFromLE(const char* src, double* dst, size_t count) {
+  if (count == 0) return;
   if constexpr (std::endian::native == std::endian::little) {
     std::memcpy(dst, src, count * sizeof(double));
   } else {
