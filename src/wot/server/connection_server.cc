@@ -33,6 +33,19 @@ constexpr uint64_t kWakeTag = 1;
 constexpr uint64_t kFirstConnectionId = 2;
 constexpr uint64_t kWriteTagBit = 1ull << 63;
 
+// Per-connection cap on buffered unsent response bytes; beyond it the
+// client is deemed too slow and disconnected.
+constexpr size_t kMaxPendingOutput = 4 * 1024 * 1024;
+// Reading from a connection pauses while its unsent output exceeds half
+// the disconnect cap (it resumes once the backlog drains) ...
+constexpr size_t kReadPauseThreshold = kMaxPendingOutput / 2;
+// ... or while this many of its dispatches are in flight.
+constexpr size_t kMaxInFlightPerConnection = 1024;
+// Grace period for the shutdown drain before force-closing.
+constexpr int64_t kDrainTimeoutMs = 5000;
+// Per-request framing bound: one NDJSON line or one binary payload.
+constexpr size_t kMaxLineBytes = 1024 * 1024;
+
 }  // namespace
 
 // Per-connection state, owned by the event-loop thread exclusively; the
@@ -44,8 +57,8 @@ struct ConnectionServer::Connection {
         in_fd(in_fd_in),
         out_fd(out_fd_in),
         wire(options.initial_protocol),
-        assembler(options.max_line_bytes),
-        frames(options.max_line_bytes) {}
+        assembler(kMaxLineBytes),
+        frames(kMaxLineBytes) {}
 
   uint64_t id;
   int in_fd;   // read side
@@ -429,7 +442,7 @@ class ConnectionServer::Loop {
         api::Response error;
         error.status = api::ApiStatus::InvalidArgument(
             "request line exceeds " +
-            std::to_string(server_->options_.max_line_bytes) + " bytes");
+            std::to_string(kMaxLineBytes) + " bytes");
         FailFraming(conn, api::EncodeResponse(error) + "\n");
       }
       return;
@@ -589,10 +602,8 @@ class ConnectionServer::Loop {
   }
 
   bool ReadPaused(const Connection& conn) const {
-    return conn.out.size() - conn.out_pos >
-               server_->options_.read_pause_threshold ||
-           conn.in_flight >=
-               server_->options_.max_in_flight_per_connection;
+    return conn.out.size() - conn.out_pos > kReadPauseThreshold ||
+           conn.in_flight >= kMaxInFlightPerConnection;
   }
 
   // Folds this connection's unsent-output and read-pause state into the
@@ -630,7 +641,7 @@ class ConnectionServer::Loop {
     }
     UpdateBackpressureTelemetry(conn);
     size_t unsent = conn->out.size() - conn->out_pos;
-    if (unsent > server_->options_.max_pending_output) {
+    if (unsent > kMaxPendingOutput) {
       // Slow client: it is not draining responses as fast as it
       // pipelines requests. Cut it loose rather than buffer unboundedly.
       Close(conn, server_->closed_slow_);
@@ -720,8 +731,7 @@ class ConnectionServer::Loop {
 
   void BeginDrain() {
     draining_ = true;
-    drain_deadline_ms_ =
-        MonotonicMillis() + server_->options_.drain_timeout_ms;
+    drain_deadline_ms_ = MonotonicMillis() + kDrainTimeoutMs;
     if (listen_fd_ >= 0) {
       ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
       ::close(listen_fd_);

@@ -15,18 +15,19 @@
 //     every earlier frame of the same connection is ready).
 //   * No cross-connection ordering: requests from different connections
 //     interleave arbitrarily through the pool.
-//   * Backpressure: each connection's pending output is bounded
-//     (max_pending_output); a client that stops reading while responses
-//     accumulate is disconnected rather than allowed to grow the buffer.
-//     Reading from a connection pauses while its output backlog is high,
-//     so one pipelining firehose cannot monopolize the dispatch pool.
-//   * Framing bound: a single request line longer than max_line_bytes
-//     (or a binary frame whose payload exceeds it) is answered with a
-//     framed INVALID_ARGUMENT and the connection closed.
+//   * Backpressure: each connection's pending output is bounded (4 MiB);
+//     a client that stops reading while responses accumulate is
+//     disconnected rather than allowed to grow the buffer. Reading from
+//     a connection pauses while its output backlog passes half that cap
+//     or 1024 requests are in flight on it, so one pipelining firehose
+//     cannot monopolize the dispatch pool.
+//   * Framing bound: a single request line longer than 1 MiB (or a
+//     binary frame whose payload exceeds it) is answered with a framed
+//     INVALID_ARGUMENT and the connection closed.
 //   * Graceful shutdown: RequestStop() (async-signal-safe; wired to
 //     SIGINT/SIGTERM by wot_served) stops accepting, answers every
 //     request already read, flushes write buffers, then Serve() returns.
-//     Connections still open after drain_timeout_ms are force-closed.
+//     Connections still open after a 5 s drain are force-closed.
 //
 // Wire protocols: each connection starts in options.initial_protocol
 // (NDJSON by default) and carries its own codec state. An NDJSON
@@ -64,19 +65,6 @@ struct ConnectionServerOptions {
   /// Dispatch pool size (values < 1 are clamped to 1). Query-heavy
   /// workloads scale with this; ingest serializes in the service anyway.
   int num_threads = 4;
-  /// Per-connection cap on buffered unsent response bytes; beyond it the
-  /// client is deemed too slow and disconnected.
-  size_t max_pending_output = 4 * 1024 * 1024;
-  /// Per-request framing bound (one NDJSON line).
-  size_t max_line_bytes = 1024 * 1024;
-  /// Reading from a connection pauses while its unsent output exceeds
-  /// this (resumes once the backlog drains). Defaults to half the
-  /// disconnect cap.
-  size_t read_pause_threshold = 2 * 1024 * 1024;
-  /// In-flight dispatches per connection before reading pauses.
-  size_t max_in_flight_per_connection = 1024;
-  /// Grace period for the shutdown drain before force-closing.
-  int drain_timeout_ms = 5000;
   /// The framing every connection starts in. With kNdjson, binary-first
   /// clients are still sniffed by their magic first byte; with kBinary,
   /// connections speak v2 frames from the first byte (no NDJSON, no

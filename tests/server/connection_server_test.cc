@@ -99,9 +99,8 @@ TEST(ConnectionServerTest, PipelinedResponsesKeepArrivalOrder) {
 }
 
 TEST(ConnectionServerTest, OversizedLineAnswersFramedErrorThenCloses) {
-  ConnectionServerOptions options;
-  options.max_line_bytes = 512;
-  ServerHarness harness(wot::testing::TinyCommunity(), options);
+  constexpr size_t kMaxLineBytes = 1024 * 1024;  // the server's bound
+  ServerHarness harness(wot::testing::TinyCommunity());
 
   int fd = harness.Connect();
   // A legal frame first, then a line that can never fit the budget.
@@ -109,7 +108,7 @@ TEST(ConnectionServerTest, OversizedLineAnswersFramedErrorThenCloses) {
   request.id = 7;
   request.payload = api::StatsRequest{};
   std::string payload = api::EncodeRequest(request) + "\n";
-  payload += std::string(2048, 'x');
+  payload += std::string(kMaxLineBytes + 1, 'x');
   ASSERT_TRUE(api::SendAll(fd, payload).ok());
 
   api::FdLineReader reader(fd);
@@ -125,6 +124,9 @@ TEST(ConnectionServerTest, OversizedLineAnswersFramedErrorThenCloses) {
   api::Response error;
   ASSERT_TRUE(api::DecodeResponse(line, &error).ok()) << line;
   EXPECT_EQ(error.status.code, api::ApiCode::kInvalidArgument);
+  EXPECT_NE(error.status.message.find(std::to_string(kMaxLineBytes)),
+            std::string::npos)
+      << error.status.message;
   // ... then EOF: the connection is dropped.
   EXPECT_FALSE(reader.Next(&line).ValueOrDie());
   ::close(fd);
