@@ -547,7 +547,8 @@ int Main(int argc, char** argv) {
   report.AddNumber("router_qps_8clients", router_qps_c8);
   report.AddNumber("router_commit_fanout_ms", router_commit_ms);
   report.AddNumber("router_topk_scatter_us", router_topk_us);
-  // The commit fan-out only overlaps shard commits given the cores.
+  // The all-dirty commit overlaps its shard commits only as far as the
+  // cores allow.
   report.AddInt("hardware_threads",
                 static_cast<int64_t>(std::thread::hardware_concurrency()));
 

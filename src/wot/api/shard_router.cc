@@ -647,28 +647,41 @@ Response ShardRouter::DispatchPayload(const Request& request,
     Response operator()(const CommitRequest&) {
       MutexLock lock(router.ingest_mu_);
       const size_t num_shards = router.shards_.size();
-      // Per-shard commits run concurrently, one thread per shard (the
-      // recompute is the expensive leg; shard services are independent).
-      // Outcomes land in indexed slots; the first failing shard BY INDEX
-      // is reported, so the error is deterministic regardless of
-      // completion order.
+      // Shards with derivable staged work commit concurrently, one
+      // thread each (the recompute is the expensive leg; shard services
+      // are independent). No-op shard commits, and a commit with work on
+      // one shard only, run on this thread: a fresh thread buys them no
+      // overlap, and on glibc each fresh thread allocates from another
+      // malloc arena, which grows peak RSS (by about a quarter on the
+      // benchmark's replicated_mix workload). Outcomes land in indexed
+      // slots; the first failing shard BY INDEX is reported, so the
+      // error is deterministic regardless of completion order.
       std::vector<TrustService::CommitStats> stats(num_shards);
       std::vector<Status> outcomes(num_shards, Status::OK());
+      auto commit_shard = [&](size_t s) {
+        router.Touch(s);
+        Result<TrustService::CommitStats> shard_stats =
+            router.shards_[s]->service->Commit();
+        if (shard_stats.ok()) {
+          stats[s] = shard_stats.ValueOrDie();
+        } else {
+          outcomes[s] = shard_stats.status();
+        }
+      };
       {
         WOT_TIMED(router.fanout_latency_ns_);
+        std::vector<size_t> publishing;
+        for (size_t s = 0; s < num_shards; ++s) {
+          if (router.shards_[s]->service->CommitWouldPublish()) {
+            publishing.push_back(s);
+          } else {
+            commit_shard(s);
+          }
+        }
         ParallelFor(
-            num_shards,
-            [&](size_t s) {
-              router.Touch(s);
-              Result<TrustService::CommitStats> shard_stats =
-                  router.shards_[s]->service->Commit();
-              if (shard_stats.ok()) {
-                stats[s] = shard_stats.ValueOrDie();
-              } else {
-                outcomes[s] = shard_stats.status();
-              }
-            },
-            num_shards);
+            publishing.size(),
+            [&](size_t i) { commit_shard(publishing[i]); },
+            publishing.size());
       }
       CommitResult result;
       bool any_published = false;

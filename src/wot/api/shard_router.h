@@ -37,13 +37,15 @@
 // Queries run on the calling thread, lock-free against per-shard
 // published snapshots: a point read is one shard read, and a topk
 // scatter visits its contributing shards in a plain loop (an index ref
-// has exactly one). A commit fans out with ParallelFor, one short-lived
-// thread per shard, so a commit that dirties every shard costs the
-// slowest shard commit rather than their sum. Ingest and commit
-// serialize on a router-level mutex (global id assignment and cross-
-// shard fan-outs must be atomic with respect to each other). The shards
-// are router-owned: ingesting into a shard's TrustService directly
-// would break the dense round-robin id invariant.
+// has exactly one). A commit runs the shards with derivable staged work
+// concurrently through ParallelFor, one short-lived thread each, so a
+// commit that dirties every shard costs the slowest shard commit rather
+// than their sum; no-op shard commits, and a commit with work on one
+// shard, run on the calling thread. Ingest and commit serialize on a
+// router-level mutex (global id assignment and cross-shard fan-outs
+// must be atomic with respect to each other). The shards are
+// router-owned: ingesting into a shard's TrustService directly would
+// break the dense round-robin id invariant.
 #ifndef WOT_API_SHARD_ROUTER_H_
 #define WOT_API_SHARD_ROUTER_H_
 

@@ -328,6 +328,20 @@ Result<TrustService::CommitStats> TrustService::Commit() {
   return CommitLocked();
 }
 
+bool TrustService::CommitWouldPublish() {
+  MutexLock lock(writer_mu_);
+  return !StagedMatchesPublishedLocked();
+}
+
+bool TrustService::StagedMatchesPublishedLocked() const {
+  const Dataset& staged = builder_.StagedView();
+  return published_.load(std::memory_order_acquire) != nullptr &&
+         staged.num_users() == published_users_ &&
+         staged.num_categories() == published_categories_ &&
+         staged.num_reviews() == published_reviews_ &&
+         staged.num_ratings() == published_ratings_;
+}
+
 Result<TrustService::CommitStats> TrustService::CommitLocked() {
   telemetry::Timer timer;
   CommitStats stats;
@@ -335,10 +349,7 @@ Result<TrustService::CommitStats> TrustService::CommitLocked() {
   std::shared_ptr<const TrustSnapshot> prev =
       published_.load(std::memory_order_acquire);
 
-  if (prev != nullptr && staged.num_users() == published_users_ &&
-      staged.num_categories() == published_categories_ &&
-      staged.num_reviews() == published_reviews_ &&
-      staged.num_ratings() == published_ratings_) {
+  if (StagedMatchesPublishedLocked()) {
     // Nothing derivable changed (at most new reviewless objects): the
     // serving snapshot stays as is. The log still sees the commit so a
     // batched-fsync WAL flushes before the ack.

@@ -160,6 +160,10 @@ class TrustService {
   /// No-op (published = false) when nothing derivable changed.
   Result<CommitStats> Commit() WOT_EXCLUDES(writer_mu_);
 
+  /// \brief True when Commit() would derive and publish a new snapshot,
+  /// false when it would take its no-op path (takes the writer lock).
+  bool CommitWouldPublish() WOT_EXCLUDES(writer_mu_);
+
   // --- Read path (lock-free; safe concurrently with the write path) ------
 
   /// \brief The latest published snapshot (never null). Hold the returned
@@ -243,6 +247,10 @@ class TrustService {
 
   /// Builds and atomically publishes the next snapshot.
   Result<CommitStats> CommitLocked() WOT_REQUIRES(writer_mu_);
+
+  /// True when nothing derivable changed since the last publish (at most
+  /// new reviewless objects), so a commit publishes nothing.
+  bool StagedMatchesPublishedLocked() const WOT_REQUIRES(writer_mu_);
 
   TrustServiceOptions options_;
 

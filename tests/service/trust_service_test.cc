@@ -109,6 +109,20 @@ TEST(TrustServiceTest, CommitWithoutChangesKeepsServingSameSnapshot) {
   EXPECT_EQ(service->Snapshot().get(), before.get());
 }
 
+TEST(TrustServiceTest, CommitWouldPublishPredictsTheCommit) {
+  std::unique_ptr<TrustService> service =
+      MustCreate(testing::TinyCommunity());
+  EXPECT_FALSE(service->CommitWouldPublish());
+  // A reviewless object changes nothing derivable: still a no-op.
+  ASSERT_TRUE(service->AddObject(CategoryId(0), "unreviewed").ok());
+  EXPECT_FALSE(service->CommitWouldPublish());
+  EXPECT_FALSE(service->Commit().ValueOrDie().published);
+  ASSERT_TRUE(service->AddRating(UserId(3), ReviewId(1), 0.8).ok());
+  EXPECT_TRUE(service->CommitWouldPublish());
+  EXPECT_TRUE(service->Commit().ValueOrDie().published);
+  EXPECT_FALSE(service->CommitWouldPublish());
+}
+
 TEST(TrustServiceTest, CommitScopesRefreshToDirtyCategoriesAndUsers) {
   Dataset ds = testing::TinyCommunity();
   std::unique_ptr<TrustService> service = MustCreate(ds);
