@@ -1,32 +1,28 @@
-// Serving-path microbenchmark: TrustService boot cost, per-query latency
-// (Trust / TopK / ExplainTrust) against a published snapshot, the
-// incremental commit (snapshot-swap) cost of folding in fresh ratings,
-// multi-client throughput of the wot/server ConnectionServer (real
-// unix-socket clients pipelining against the epoll loop + dispatch
-// pool), and the same throughput through an api::ShardRouter over
-// --shards TrustService shards (same-shard query workload, so the
-// routed path is measured, not the NOT_FOUND path).
+// In-process serving microbenchmark: TrustService boot cost (fresh,
+// durable and recovered), per-query latency (Trust / TopK / ExplainTrust)
+// against a published snapshot, the frontend round trip through each
+// codec, the incremental commit (snapshot-swap) cost of folding in fresh
+// ratings, and the same round trip, commit fan-out and topk scatter
+// through an api::ShardRouter over --shards TrustService shards
+// (same-shard query workload, so the routed path is measured, not the
+// NOT_FOUND path). The socket server is measured by perfbench/, which
+// checks its answers and filters host noise.
 //
 //   micro_service --users 4000 --seed 42
 //   micro_service --users 4000 --shards 4 --json BENCH_service.json
-//   micro_service --users 4000 --protocol binary
 //
 // The NDJSON and v2 binary API round trips are both measured every run
 // (api_trust_roundtrip_us vs api_trust_roundtrip_us_binary — the gap to
-// trust_query_us is pure codec cost); --protocol picks the wire the
-// socket-throughput sections drive.
+// trust_query_us is pure codec cost).
 //
 // Uses wall-clock batches (no Google Benchmark dependency) so it always
 // builds; --json emits the machine-readable report tracked across PRs.
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <random>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <variant>
 #include <vector>
@@ -40,8 +36,6 @@
 #include "wot/io/json_parser.h"
 #include "wot/api/frontend.h"
 #include "wot/api/shard_router.h"
-#include "wot/api/unix_socket.h"
-#include "wot/server/connection_server.h"
 #include "wot/service/trust_service.h"
 #include "wot/storage/storage_manager.h"
 #include "wot/util/check.h"
@@ -51,109 +45,15 @@ namespace wot {
 namespace bench {
 namespace {
 
-// Source/target pair of query q for client c: both in range, and in the
-// same residue class mod `stride` so a ShardRouter with `stride` shards
-// serves the routed (same-shard) path. stride 1 keeps the historical
-// independent-pair workload so server_qps_* rows stay comparable across
-// the committed trajectory.
-std::pair<size_t, size_t> QueryPair(int64_t q, int c, size_t num_users,
+// Source/target pair of query q: both in range, and in the same residue
+// class mod `stride` so a ShardRouter with `stride` shards serves the
+// routed (same-shard) path.
+std::pair<size_t, size_t> QueryPair(int64_t q, size_t num_users,
                                     size_t stride) {
-  size_t a = (static_cast<size_t>(q) * 7 + static_cast<size_t>(c)) %
-             num_users;
-  if (stride == 1) {
-    return {a, (static_cast<size_t>(q) * 13 + static_cast<size_t>(c) +
-                1) %
-                   num_users};
-  }
+  size_t a = (static_cast<size_t>(q) * 7) % num_users;
   size_t b = a + stride * (1 + static_cast<size_t>(q) % 7);
   if (b >= num_users) b = a;  // keep the residue; a self-pair is valid
   return {a, b};
-}
-
-// Aggregate queries/second of `clients` unix-socket clients, each
-// pipelining `per_client` trust queries (in windows, so neither side
-// deadlocks on socket buffers) against one ConnectionServer.
-double MeasureServerThroughput(api::Frontend* frontend, size_t num_users,
-                               size_t stride, int server_threads,
-                               int clients, int64_t per_client,
-                               api::WireProtocol protocol) {
-  static int run_counter = 0;
-  std::string socket_path =
-      "/tmp/wot_micro_service_" + std::to_string(::getpid()) + "_" +
-      std::to_string(run_counter++) + ".sock";
-  std::remove(socket_path.c_str());
-  server::ConnectionServerOptions options;
-  options.num_threads = server_threads;
-  server::ConnectionServer server(frontend, options);
-  Result<int> listen_fd = api::ListenUnixSocket(socket_path, 64);
-  WOT_CHECK_OK(listen_fd.status());
-  std::thread serve_thread([&server, fd = listen_fd.ValueOrDie()] {
-    WOT_CHECK_OK(server.Serve(fd));
-  });
-
-  Stopwatch timer;
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(clients));
-  for (int c = 0; c < clients; ++c) {
-    workers.emplace_back([&, c] {
-      Result<int> fd = api::ConnectUnixSocket(socket_path);
-      WOT_CHECK_OK(fd.status());
-      const bool binary = protocol == api::WireProtocol::kBinary;
-      api::FdLineReader reader(fd.ValueOrDie());
-      api::BinaryFrameAssembler frames(64u << 20);
-      constexpr int64_t kWindow = 64;
-      int64_t sent = 0;
-      int64_t received = 0;
-      std::string line;
-      while (received < per_client) {
-        std::string burst;
-        for (int64_t w = 0; w < kWindow && sent < per_client;
-             ++w, ++sent) {
-          api::Request request;
-          request.id = sent + 1;
-          auto [a, b] = QueryPair(sent, c, num_users, stride);
-          request.payload =
-              api::TrustQuery{std::to_string(a), std::to_string(b)};
-          if (binary) {
-            // Binary-first: no handshake, the server sniffs the magic.
-            burst += api::EncodeRequestBinary(request);
-          } else {
-            burst += api::EncodeRequest(request);
-            burst += '\n';
-          }
-        }
-        if (!burst.empty()) {
-          WOT_CHECK_OK(api::SendAll(fd.ValueOrDie(), burst));
-        }
-        while (received < sent) {
-          if (binary) {
-            if (frames.NextFrame().has_value()) {
-              ++received;
-              continue;
-            }
-            char chunk[4096];
-            ssize_t n = ::read(fd.ValueOrDie(), chunk, sizeof(chunk));
-            WOT_CHECK_GT(n, 0);
-            WOT_CHECK(frames.Append(
-                std::string_view(chunk, static_cast<size_t>(n))));
-          } else {
-            WOT_CHECK(reader.Next(&line).ValueOrDie());
-            ++received;
-          }
-        }
-      }
-      ::close(fd.ValueOrDie());
-    });
-  }
-  for (std::thread& worker : workers) {
-    worker.join();
-  }
-  const double elapsed = timer.ElapsedSeconds();
-  server.RequestStop();
-  serve_thread.join();
-  std::remove(socket_path.c_str());
-  return static_cast<double>(clients) *
-         static_cast<double>(per_client) / elapsed;
 }
 
 int Main(int argc, char** argv) {
@@ -164,14 +64,10 @@ int Main(int argc, char** argv) {
   RegisterJsonFlag(&flags, &args);
   int64_t queries = 20000;
   int64_t shards = 4;
-  std::string protocol = "ndjson";
   std::string off_report;
   flags.AddInt64("queries", &queries, "queries per measurement batch");
   flags.AddInt64("shards", &shards,
-                 "shard count of the ShardRouter throughput section");
-  flags.AddString("protocol", &protocol,
-                  "wire protocol of the socket-throughput sections "
-                  "(ndjson | binary)");
+                 "shard count of the ShardRouter sections");
   flags.AddString("off_report", &off_report,
                   "--json report of a micro_service_off run "
                   "(WOT_TELEMETRY_OFF twin); adds telemetry_overhead_* "
@@ -179,8 +75,6 @@ int Main(int argc, char** argv) {
   WOT_CHECK_OK(flags.Parse(argc, argv));
   WOT_CHECK_GT(queries, 0);
   WOT_CHECK_GT(shards, 0);
-  Result<api::WireProtocol> wire = api::WireProtocolFromName(protocol);
-  WOT_CHECK_OK(wire.status());
 
   SynthCommunity community = MakeCommunity(args);
   const Dataset& dataset = community.dataset;
@@ -335,21 +229,9 @@ int Main(int argc, char** argv) {
   const double noop_commit_us = timer.ElapsedMillis() * 1e3;
   WOT_CHECK(!noop.published);
 
-  // Multi-client ConnectionServer throughput: 1 pipelining client vs 8,
-  // over the socket path wot_served serves in production. Uses the same
-  // (already committed) service; trust queries only, so the measured
-  // path is epoll + framing + pool dispatch + lock-free snapshot reads.
-  const int64_t per_client = queries / 8 + 1;
-  const double server_qps_c1 = MeasureServerThroughput(
-      &frontend, num_users, /*stride=*/1, /*server_threads=*/4,
-      /*clients=*/1, per_client, wire.ValueOrDie());
-  const double server_qps_c8 = MeasureServerThroughput(
-      &frontend, num_users, /*stride=*/1, /*server_threads=*/4,
-      /*clients=*/8, per_client, wire.ValueOrDie());
-
   // Sharded serving: boot a ShardRouter over the same seed dataset and
-  // repeat the API round trip + server throughput sections through it
-  // (same-shard pairs, so the routed path is measured). The boot is
+  // repeat the API round trip through it (same-shard pairs, so the
+  // routed path is measured). The boot is
   // timed too — it includes slicing plus N per-shard derivations.
   timer.Reset();
   std::unique_ptr<api::ShardRouter> router =
@@ -362,8 +244,7 @@ int Main(int argc, char** argv) {
   for (int64_t q = 0; q < api_queries; ++q) {
     api::Request request;
     request.id = q;
-    auto [a, b] = QueryPair(q, 0, num_users,
-                            static_cast<size_t>(shards));
+    auto [a, b] = QueryPair(q, num_users, static_cast<size_t>(shards));
     request.payload =
         api::TrustQuery{std::to_string(a), std::to_string(b)};
     std::string reply = router->DispatchLine(api::EncodeRequest(request));
@@ -380,8 +261,7 @@ int Main(int argc, char** argv) {
   for (int64_t q = 0; q < api_queries; ++q) {
     api::Request request;
     request.id = q;
-    auto [a, b] = QueryPair(q, 0, num_users,
-                            static_cast<size_t>(shards));
+    auto [a, b] = QueryPair(q, num_users, static_cast<size_t>(shards));
     request.payload =
         api::TrustQuery{std::to_string(a), std::to_string(b)};
     std::string reply =
@@ -393,15 +273,6 @@ int Main(int argc, char** argv) {
   }
   const double router_trust_binary_us = timer.ElapsedSeconds() * 1e6 /
                                         static_cast<double>(api_queries);
-
-  const double router_qps_c1 = MeasureServerThroughput(
-      router.get(), num_users, static_cast<size_t>(shards),
-      /*server_threads=*/4, /*clients=*/1, per_client,
-      wire.ValueOrDie());
-  const double router_qps_c8 = MeasureServerThroughput(
-      router.get(), num_users, static_cast<size_t>(shards),
-      /*server_threads=*/4, /*clients=*/8, per_client,
-      wire.ValueOrDie());
 
   // Fan-out latency: a commit that dirties every shard (the shard
   // commits run one thread per shard) and a topk scatter by index (one
@@ -470,9 +341,8 @@ int Main(int argc, char** argv) {
     for (int64_t q = 0; q < api_queries; ++q) {
       api::Request request;
       request.id = 800000 + q;
-      auto [a, b] = QueryPair(q, 0, num_users,
-                              static_cast<size_t>(shards));
-      (void)b;
+      const size_t a =
+          QueryPair(q, num_users, static_cast<size_t>(shards)).first;
       request.payload = api::TopKQuery{std::to_string(a), 10};
       api::Response response = router->Dispatch(request);
       sink += static_cast<double>(
@@ -497,13 +367,9 @@ int Main(int argc, char** argv) {
               "incremental commit (10 appends):         %10.2f ms\n"
               "  (avg %.1f categories recomputed per commit)\n"
               "no-op commit:                            %10.3f us\n"
-              "server throughput, 1 client (%s): %10.0f qps\n"
-              "server throughput, 8 clients (%s): %10.0f qps\n"
               "router boot (%lld shards):               %10.2f ms\n"
               "router NDJSON round trip (trust):        %10.3f us\n"
               "router binary round trip (trust):        %10.3f us\n"
-              "router throughput, 1 client:             %10.0f qps\n"
-              "router throughput, 8 clients:            %10.0f qps\n"
               "router commit fan-out (all shards dirty): %9.2f ms\n"
               "router topk scatter:                     %10.3f us\n"
               "(checksums: %.3f %zu %zu %.3f %.3f %.3f %.3f)\n",
@@ -511,11 +377,9 @@ int Main(int argc, char** argv) {
               topk_us, explain_us, api_trust_us,
               api_trust_binary_us, commit_ms,
               static_cast<double>(categories_recomputed) / kCommits,
-              noop_commit_us, protocol.c_str(), server_qps_c1,
-              protocol.c_str(), server_qps_c8,
-              static_cast<long long>(shards), router_boot_ms,
-              router_trust_us, router_trust_binary_us, router_qps_c1,
-              router_qps_c8, router_commit_ms, router_topk_us, checksum,
+              noop_commit_us, static_cast<long long>(shards),
+              router_boot_ms, router_trust_us, router_trust_binary_us,
+              router_commit_ms, router_topk_us, checksum,
               topk_sum, term_sum, api_checksum, router_checksum,
               binary_checksum, router_binary_checksum);
 
@@ -535,16 +399,11 @@ int Main(int argc, char** argv) {
   report.AddNumber("api_trust_roundtrip_us_binary", api_trust_binary_us);
   report.AddNumber("incremental_commit_ms", commit_ms);
   report.AddNumber("noop_commit_us", noop_commit_us);
-  report.AddString("server_protocol", protocol);
-  report.AddNumber("server_qps_1client", server_qps_c1);
-  report.AddNumber("server_qps_8clients", server_qps_c8);
   report.AddInt("router_shards", shards);
   report.AddNumber("router_boot_ms", router_boot_ms);
   report.AddNumber("router_trust_roundtrip_us", router_trust_us);
   report.AddNumber("router_trust_roundtrip_us_binary",
                    router_trust_binary_us);
-  report.AddNumber("router_qps_1client", router_qps_c1);
-  report.AddNumber("router_qps_8clients", router_qps_c8);
   report.AddNumber("router_commit_fanout_ms", router_commit_ms);
   report.AddNumber("router_topk_scatter_us", router_topk_us);
   // The all-dirty commit overlaps its shard commits only as far as the
@@ -553,7 +412,7 @@ int Main(int argc, char** argv) {
                 static_cast<int64_t>(std::thread::hardware_concurrency()));
 
   // Price the instrumentation against a WOT_TELEMETRY_OFF twin's report:
-  // same binary round trip and 8-client throughput, compiled with every
+  // the same binary round trip, compiled with every
   // Record/Increment/WOT_TIMED a no-op.
   if (!off_report.empty()) {
     std::ifstream in(off_report);
@@ -566,26 +425,16 @@ int Main(int argc, char** argv) {
         parsed.ValueOrDie()
             .GetDouble("api_trust_roundtrip_us_binary")
             .ValueOrDie();
-    const double off_qps8 = parsed.ValueOrDie()
-                                .GetDouble("server_qps_8clients")
-                                .ValueOrDie();
     const double overhead_roundtrip_pct =
         (api_trust_binary_us - off_roundtrip_us) / off_roundtrip_us *
         100.0;
-    const double overhead_qps8_pct =
-        (off_qps8 - server_qps_c8) / off_qps8 * 100.0;
     std::printf("telemetry off round trip (binary):       %10.3f us\n"
-                "telemetry off throughput, 8 clients:     %10.0f qps\n"
-                "telemetry overhead (round trip):         %+9.2f %%\n"
-                "telemetry overhead (8-client qps):       %+9.2f %%\n",
-                off_roundtrip_us, off_qps8, overhead_roundtrip_pct,
-                overhead_qps8_pct);
+                "telemetry overhead (round trip):         %+9.2f %%\n",
+                off_roundtrip_us, overhead_roundtrip_pct);
     report.AddNumber("telemetry_off_roundtrip_us_binary",
                      off_roundtrip_us);
-    report.AddNumber("telemetry_off_qps_8clients", off_qps8);
     report.AddNumber("telemetry_overhead_roundtrip_pct",
                      overhead_roundtrip_pct);
-    report.AddNumber("telemetry_overhead_qps8_pct", overhead_qps8_pct);
   }
   WOT_CHECK_OK(MaybeWriteJson(args, report));
   return 0;

@@ -22,9 +22,7 @@ endif()
 file(READ ${WORK_DIR}/BENCH_service_overhead_smoke.json combined)
 foreach(field
     telemetry_off_roundtrip_us_binary
-    telemetry_off_qps_8clients
-    telemetry_overhead_roundtrip_pct
-    telemetry_overhead_qps8_pct)
+    telemetry_overhead_roundtrip_pct)
   if(NOT combined MATCHES "${field}")
     message(FATAL_ERROR "missing ${field} in combined report: ${combined}")
   endif()

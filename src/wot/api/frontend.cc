@@ -36,6 +36,11 @@ Result<UserId> ResolveUserRef(const TrustSnapshot& snapshot,
   return UserId(*id);
 }
 
+std::string EncodeResponseFor(WireProtocol wire, const Response& response) {
+  return wire == WireProtocol::kBinary ? EncodeResponseBinary(response)
+                                       : EncodeResponse(response);
+}
+
 Frontend::Frontend() : registry_(std::make_shared<telemetry::MetricRegistry>()) {
   requests_served_ = registry_->counter("api.requests_served");
   errors_ = registry_->counter("api.errors");
@@ -175,34 +180,38 @@ Response Frontend::Dispatch(const Request& request,
   return response;
 }
 
-std::string Frontend::DispatchLine(std::string_view line,
-                                   const ConnectionContext& connection) {
-  Request request;
-  ApiStatus decode_status = DecodeRequest(line, &request);
-  if (!decode_status.ok()) {
-    requests_served_->Increment();
-    errors_->Increment();
-    Response response;
-    response.id = request.id;
-    response.status = std::move(decode_status);
-    return EncodeResponse(response);
+std::optional<std::string> Frontend::DecodeFrame(std::string_view frame,
+                                                 WireProtocol wire,
+                                                 Request* request) {
+  ApiStatus decode_status = wire == WireProtocol::kBinary
+                                ? DecodeRequestBinary(frame, request)
+                                : DecodeRequest(frame, request);
+  if (decode_status.ok()) {
+    return std::nullopt;
   }
-  return EncodeResponse(Dispatch(request, connection));
+  requests_served_->Increment();
+  errors_->Increment();
+  Response response;
+  response.id = request->id;
+  response.status = std::move(decode_status);
+  return EncodeResponseFor(wire, response);
 }
 
-std::string Frontend::DispatchFrame(std::string_view frame,
-                                    const ConnectionContext& connection) {
+bool Frontend::RunsInline(const Request& request) const {
+  return ReadsAreLocal() &&
+         (std::holds_alternative<TrustQuery>(request.payload) ||
+          std::holds_alternative<ExplainQuery>(request.payload) ||
+          std::holds_alternative<TopKQuery>(request.payload));
+}
+
+std::string Frontend::DispatchEncoded(std::string_view frame,
+                                      WireProtocol wire,
+                                      const ConnectionContext& connection) {
   Request request;
-  ApiStatus decode_status = DecodeRequestBinary(frame, &request);
-  if (!decode_status.ok()) {
-    requests_served_->Increment();
-    errors_->Increment();
-    Response response;
-    response.id = request.id;
-    response.status = std::move(decode_status);
-    return EncodeResponseBinary(response);
+  if (std::optional<std::string> error = DecodeFrame(frame, wire, &request)) {
+    return *std::move(error);
   }
-  return EncodeResponseBinary(Dispatch(request, connection));
+  return EncodeResponseFor(wire, Dispatch(request, connection));
 }
 
 Response ServiceFrontend::DispatchPayload(

@@ -46,12 +46,14 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "wot/api/api.h"
+#include "wot/api/binary_codec.h"
 #include "wot/service/trust_service.h"
 #include "wot/service/trust_snapshot.h"
 #include "wot/telemetry/metric_registry.h"
@@ -74,6 +76,10 @@ inline Response ErrorResponse(ApiStatus status) {
   response.status = std::move(status);
   return response;
 }
+
+/// \brief Encodes \p response in \p wire's framing (an NDJSON frame has
+/// no trailing newline; a binary frame delimits itself).
+std::string EncodeResponseFor(WireProtocol wire, const Response& response);
 
 /// \brief Serving counters of one frontend (returned by the stats method).
 struct FrontendStats {
@@ -146,7 +152,9 @@ class Frontend {
     return DispatchLine(line, ConnectionContext{});
   }
   std::string DispatchLine(std::string_view line,
-                           const ConnectionContext& connection);
+                           const ConnectionContext& connection) {
+    return DispatchEncoded(line, WireProtocol::kNdjson, connection);
+  }
 
   /// \brief Decodes one v2 binary frame, dispatches it, encodes the binary
   /// reply — DispatchLine's twin for connections that negotiated the
@@ -155,7 +163,28 @@ class Frontend {
     return DispatchFrame(frame, ConnectionContext{});
   }
   std::string DispatchFrame(std::string_view frame,
-                            const ConnectionContext& connection);
+                            const ConnectionContext& connection) {
+    return DispatchEncoded(frame, WireProtocol::kBinary, connection);
+  }
+
+  /// \brief Decodes one \p wire frame (an NDJSON line without its
+  /// newline, or one binary frame) into \p request. A frame that does not
+  /// decode is answered here: it counts on api.requests_served and
+  /// api.errors, and its encoded error frame is returned. nullopt means
+  /// \p request is ready for Dispatch.
+  std::optional<std::string> DecodeFrame(std::string_view frame,
+                                         WireProtocol wire,
+                                         Request* request);
+
+  /// \brief True when this frontend's snapshot reads (trust, explain,
+  /// topk) never block, so a transport may answer them on its own
+  /// thread. The default is false: every request may block.
+  virtual bool ReadsAreLocal() const { return false; }
+
+  /// \brief True when \p request is a snapshot read on a frontend whose
+  /// reads are local. Transports run such requests where they decoded
+  /// them and send everything else to their worker threads.
+  bool RunsInline(const Request& request) const;
 
   /// Value snapshot of the counters (they advance concurrently).
   virtual FrontendStats stats() const;
@@ -231,6 +260,10 @@ class Frontend {
   /// answers UNIMPLEMENTED when none is attached).
   Response DispatchReplication(const Request& request) const;
 
+  /// \brief DispatchLine / DispatchFrame: decode, dispatch, encode.
+  std::string DispatchEncoded(std::string_view frame, WireProtocol wire,
+                              const ConnectionContext& connection);
+
   void MaybeLogSlow(const Request& request,
                     const ConnectionContext& connection,
                     int64_t elapsed_ns) const;
@@ -258,6 +291,9 @@ class ServiceFrontend : public Frontend {
   }
 
   TrustService* service() const { return service_; }
+
+  /// Reads run lock-free on the published snapshot.
+  bool ReadsAreLocal() const override { return true; }
 
   /// The published snapshot version.
   uint64_t TelemetryEpoch() const override {

@@ -154,6 +154,10 @@ class ShardRouter : public Frontend, private ReplicationHandler {
   /// slow-log lines).
   uint64_t TelemetryEpoch() const override { return epoch(); }
 
+  /// Shard reads are lock-free on the shards' snapshots until a replica
+  /// is registered: a replica read is a blocking forward.
+  bool ReadsAreLocal() const override { return !has_replicas_; }
+
  protected:
   Response DispatchPayload(const Request& request,
                            const ConnectionContext& connection) override;
@@ -265,6 +269,8 @@ class ShardRouter : public Frontend, private ReplicationHandler {
   /// ReplicationSource, which keeps answering repl_fetch through the
   /// router. Written only by AddReplica (before serving traffic).
   ReplicationHandler* fetch_delegate_ = nullptr;
+  /// Set by the first AddReplica (before serving traffic).
+  bool has_replicas_ = false;
 
   // Router-level instruments (resolved once in InitTelemetry; the base
   // registry outlives them).

@@ -45,6 +45,9 @@ class ReplicaFrontend : public api::Frontend {
     return replica_->applied_version();
   }
 
+  /// Reads pass through to the inner ServiceFrontend's snapshot.
+  bool ReadsAreLocal() const override { return true; }
+
  protected:
   api::Response DispatchPayload(
       const api::Request& request,

@@ -6,13 +6,13 @@
 
 #include <cerrno>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <unordered_map>
 #include <utility>
 
 #include "wot/api/binary_codec.h"
 #include "wot/api/codec.h"
+#include "wot/api/frontend.h"
 #include "wot/api/unix_socket.h"
 #include "wot/server/line_assembler.h"
 #include "wot/telemetry/timed.h"
@@ -37,19 +37,26 @@ constexpr uint64_t kWriteTagBit = 1ull << 63;
 // client is deemed too slow and disconnected.
 constexpr size_t kMaxPendingOutput = 4 * 1024 * 1024;
 // Reading from a connection pauses while its unsent output exceeds half
-// the disconnect cap (it resumes once the backlog drains) ...
+// the disconnect cap (it resumes once the backlog drains).
 constexpr size_t kReadPauseThreshold = kMaxPendingOutput / 2;
-// ... or while this many of its dispatches are in flight.
-constexpr size_t kMaxInFlightPerConnection = 1024;
+// At most this much is read off one connection per readiness event.
+constexpr size_t kReadChunkBytes = 16384;
 // Grace period for the shutdown drain before force-closing.
 constexpr int64_t kDrainTimeoutMs = 5000;
 // Per-request framing bound: one NDJSON line or one binary payload.
 constexpr size_t kMaxLineBytes = 1024 * 1024;
 
+// The bytes that carry \p frame on a \p wire connection: an NDJSON frame
+// ends in a newline, a binary frame delimits itself.
+std::string OnWire(api::WireProtocol wire, std::string frame) {
+  if (wire == api::WireProtocol::kNdjson) frame += '\n';
+  return frame;
+}
+
 }  // namespace
 
-// Per-connection state, owned by the event-loop thread exclusively; the
-// dispatch pool only ever sees (connection_id, seq, payload) copies.
+// Per-connection state, owned by the event-loop thread exclusively; a
+// pool worker only ever sees a copy of the decoded request.
 struct ConnectionServer::Connection {
   Connection(uint64_t id_in, int in_fd_in, int out_fd_in,
              const ConnectionServerOptions& options)
@@ -75,10 +82,10 @@ struct ConnectionServer::Connection {
   LineAssembler assembler;           // NDJSON framing
   api::BinaryFrameAssembler frames;  // v2 binary framing
 
-  uint64_t next_seq = 0;   // assigned to requests in arrival order
-  uint64_t flush_seq = 0;  // next seq to append to the write buffer
-  std::map<uint64_t, std::string> ready;  // out-of-order completions
-  size_t in_flight = 0;  // dispatched to the pool, not yet in `ready`
+  // A request is running on the pool. Until its response is appended to
+  // `out`, nothing is read off the connection and no buffered frame is
+  // taken, so responses are appended in arrival order.
+  bool in_flight = false;
 
   std::string out;     // encoded frames awaiting write
   size_t out_pos = 0;  // bytes of `out` already written
@@ -118,8 +125,13 @@ class ConnectionServer::Loop {
 
   ~Loop() {
     // The pool joins first (it references the completion queue and the
-    // wake fd, both of which must still be alive).
+    // wake fd, both of which must still be alive); late completions are
+    // discarded with their connections.
     pool_.reset();
+    {
+      MutexLock lock(server_->completions_mu_);
+      server_->completions_.clear();
+    }
     for (auto& [id, conn] : connections_) {
       ::close(conn->in_fd);
       if (conn->out_fd != conn->in_fd) ::close(conn->out_fd);
@@ -331,8 +343,7 @@ class ConnectionServer::Loop {
     }
     Connection* conn = it->second.get();
     if (!write_side &&
-        (events & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0 &&
-        !conn->read_closed) {
+        (events & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0 && Reading(*conn)) {
       if (!ReadFromConnection(conn)) {
         Close(conn, nullptr);
         return;
@@ -358,7 +369,7 @@ class ConnectionServer::Loop {
 
   uint32_t UnpollableEvents(const Connection& conn) const {
     uint32_t events = 0;
-    if (!conn.read_closed && !ReadPaused(conn)) events |= EPOLLIN;
+    if (Reading(conn)) events |= EPOLLIN;
     if (conn.out.size() - conn.out_pos > 0) events |= EPOLLOUT;
     return events;
   }
@@ -382,42 +393,32 @@ class ConnectionServer::Loop {
     }
   }
 
-  // Reads until EAGAIN/EOF, dispatching every complete request. Returns
-  // false on a hard transport error (caller closes the connection).
+  // Reads one chunk and answers every complete request in it. The rest
+  // of the socket buffer waits for the next readiness event (epoll is
+  // level-triggered), so one pipelining client cannot hold the loop.
+  // Returns false on a hard transport error (caller closes).
   bool ReadFromConnection(Connection* conn) {
-    while (true) {
-      char chunk[16384];
-      ssize_t n = ::read(conn->in_fd, chunk, sizeof(chunk));
-      if (n > 0) {
-        IngestBytes(conn, std::string_view(chunk, static_cast<size_t>(n)));
-        if (conn->close_after_flush) {
-          return true;  // fatal framing error already answered
-        }
-        // Paused? Leave the rest of the socket buffer for later.
-        if (ReadPaused(*conn)) {
-          return true;
-        }
-        continue;
-      }
-      if (n == 0) {
-        conn->read_closed = true;
-        FinishInput(conn);
-        return true;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return true;
-      }
-      if (errno == EINTR) {
-        continue;
-      }
-      return false;  // ECONNRESET and friends
+    char chunk[kReadChunkBytes];
+    ssize_t n;
+    do {
+      n = ::read(conn->in_fd, chunk, sizeof(chunk));
+    } while (n < 0 && errno == EINTR);
+    if (n > 0) {
+      IngestBytes(conn, std::string_view(chunk, static_cast<size_t>(n)));
+      return true;
     }
+    if (n == 0) {
+      conn->read_closed = true;
+      FinishInput(conn);
+      return true;
+    }
+    return errno == EAGAIN || errno == EWOULDBLOCK;  // else ECONNRESET...
   }
 
-  // Feeds raw bytes into the connection's current codec, dispatching
-  // every complete request and handling protocol switches.
+  // Feeds raw bytes into the connection's current codec and answers
+  // what they complete.
   void IngestBytes(Connection* conn, std::string_view bytes) {
-    if (!conn->sniffed && !bytes.empty()) {
+    if (!conn->sniffed) {
       conn->sniffed = true;
       if (conn->wire == api::WireProtocol::kNdjson &&
           static_cast<uint8_t>(bytes[0]) == api::kBinaryMagic) {
@@ -426,87 +427,122 @@ class ConnectionServer::Loop {
       }
     }
     if (conn->wire == api::WireProtocol::kNdjson) {
-      bool framed_ok = conn->assembler.Append(bytes);
-      DispatchBufferedLines(conn);
-      if (conn->wire == api::WireProtocol::kBinary) {
-        // Upgraded mid-buffer: everything after the handshake line is
-        // already binary. Hand the raw tail to the frame assembler (the
-        // line-length verdict no longer applies to those bytes).
-        conn->frames.Append(conn->assembler.TakeTail());
-        DispatchBufferedFrames(conn);
-        return;
-      }
-      if (!framed_ok) {
-        // Oversized line: one framed error (in FIFO position), then the
-        // connection dies once everything before it flushed.
-        api::Response error;
-        error.status = api::ApiStatus::InvalidArgument(
-            "request line exceeds " +
-            std::to_string(kMaxLineBytes) + " bytes");
-        FailFraming(conn, api::EncodeResponse(error) + "\n");
-      }
-      return;
+      conn->assembler.Append(bytes);  // overflow is answered by Pump
+    } else {
+      conn->frames.Append(bytes);
     }
-    conn->frames.Append(bytes);
-    DispatchBufferedFrames(conn);
+    Pump(conn);
   }
 
-  // EOF: flush whatever the codec still buffers.
-  void FinishInput(Connection* conn) {
+  // Takes buffered frames in arrival order until one goes to the pool,
+  // which holds the rest until its response is back. Once no complete
+  // frame is left, answers a framing fault the buffered bytes carry, so
+  // a fault behind an in-flight request is answered after it.
+  void Pump(Connection* conn) {
+    while (!conn->in_flight && !conn->close_after_flush) {
+      std::optional<std::string> frame = NextFrame(conn);
+      if (!frame.has_value()) break;
+      HandleFrame(conn, std::move(*frame));
+    }
+    if (conn->in_flight || conn->close_after_flush) return;
+    api::Response error;
     if (conn->wire == api::WireProtocol::kNdjson) {
-      // Tolerant framing: an unterminated final line still counts.
-      std::string tail = conn->assembler.TakeTail();
-      if (!tail.empty() && !HandleUpgrade(conn, tail)) {
-        DispatchRequest(conn, std::move(tail), /*binary=*/false);
-      }
-    } else if (conn->frames.buffered() > 0 && !conn->frames.faulted()) {
-      // A truncated trailing binary frame still gets a framed answer.
-      api::Response error;
+      if (!conn->assembler.overflowed()) return;
       error.status = api::ApiStatus::InvalidArgument(
-          "truncated binary frame at end of stream");
-      conn->ready.emplace(conn->next_seq++,
-                          api::EncodeResponseBinary(error));
+          "request line exceeds " + std::to_string(kMaxLineBytes) +
+          " bytes");
+    } else {
+      // Bad magic or oversized payload: binary framing cannot resync, so
+      // answer once (id 0 — the header is untrustworthy).
+      if (!conn->frames.faulted()) return;
+      error.status =
+          api::ApiStatus::InvalidArgument(conn->frames.fault_message());
     }
-  }
-
-  // Answers a fatal framing error with `frame` and schedules the close.
-  void FailFraming(Connection* conn, std::string frame) {
-    conn->ready.emplace(conn->next_seq++, std::move(frame));
+    // One framed error, then the connection dies once it is flushed.
+    conn->out +=
+        OnWire(conn->wire, api::EncodeResponseFor(conn->wire, error));
     conn->read_closed = true;
     conn->close_after_flush = true;
     server_->closed_oversized_->Increment();
   }
 
-  void DispatchBufferedLines(Connection* conn) {
-    // Stops as soon as an upgrade flips the wire — the remaining buffered
-    // bytes are binary frames, not lines.
-    while (conn->wire == api::WireProtocol::kNdjson) {
-      std::optional<std::string> line = conn->assembler.NextLine();
-      if (!line.has_value()) {
-        break;
-      }
-      if (line->empty()) {
-        continue;  // tolerant framing: blank lines are ignored
-      }
-      if (HandleUpgrade(conn, *line)) {
-        continue;
-      }
-      DispatchRequest(conn, std::move(*line), /*binary=*/false);
+  // The next complete frame in the connection's current framing.
+  std::optional<std::string> NextFrame(Connection* conn) {
+    if (conn->wire == api::WireProtocol::kBinary) {
+      return conn->frames.NextFrame();
+    }
+    std::optional<std::string> line;
+    do {
+      line = conn->assembler.NextLine();
+    } while (line.has_value() && line->empty());  // blank lines: ignored
+    return line;
+  }
+
+  // EOF: answers what the codec still buffers. Pump ran after the last
+  // read, so only an unterminated tail can be left.
+  void FinishInput(Connection* conn) {
+    if (conn->wire == api::WireProtocol::kNdjson) {
+      // Tolerant framing: an unterminated final line still counts.
+      std::string tail = conn->assembler.TakeTail();
+      if (!tail.empty()) HandleFrame(conn, std::move(tail));
+    } else if (conn->frames.buffered() > 0 && !conn->frames.faulted()) {
+      // A truncated trailing binary frame still gets a framed answer.
+      api::Response error;
+      error.status = api::ApiStatus::InvalidArgument(
+          "truncated binary frame at end of stream");
+      conn->out += api::EncodeResponseBinary(error);
     }
   }
 
-  void DispatchBufferedFrames(Connection* conn) {
-    while (std::optional<std::string> frame = conn->frames.NextFrame()) {
-      DispatchRequest(conn, std::move(*frame), /*binary=*/true);
+  // Answers one frame: the upgrade handshake, a decode error and a
+  // request the frontend runs inline on this thread; any other request
+  // goes to the pool and holds the connection until it is answered.
+  void HandleFrame(Connection* conn, std::string frame) {
+    const api::WireProtocol wire = conn->wire;
+    if (wire == api::WireProtocol::kNdjson && HandleUpgrade(conn, frame)) {
+      if (conn->wire == api::WireProtocol::kBinary) {
+        // Upgraded mid-buffer: everything after the handshake line is
+        // binary (the line-length verdict no longer applies to it).
+        conn->frames.Append(conn->assembler.TakeTail());
+      }
+      return;
     }
-    if (conn->frames.faulted() && !conn->close_after_flush) {
-      // Bad magic or oversized payload: binary framing cannot resync, so
-      // answer once (id 0 — the header is untrustworthy) and close.
-      api::Response error;
-      error.status =
-          api::ApiStatus::InvalidArgument(conn->frames.fault_message());
-      FailFraming(conn, api::EncodeResponseBinary(error));
+    ++conn->requests;
+    server_->dispatched_->Increment();
+    api::Frontend* frontend = server_->frontend_;
+    api::Request request;
+    if (std::optional<std::string> error =
+            frontend->DecodeFrame(frame, wire, &request)) {
+      conn->out += OnWire(wire, *std::move(error));
+      return;
     }
+    api::ConnectionContext context;
+    context.connections_active = server_->active_->Value();
+    context.connections_accepted = server_->accepted_->Value();
+    context.connection_requests_served = conn->requests;
+    context.connection_id = static_cast<int64_t>(conn->id);
+    if (frontend->RunsInline(request)) {
+      api::Response response = frontend->Dispatch(request, context);
+      conn->out += OnWire(wire, api::EncodeResponseFor(wire, response));
+      return;
+    }
+    conn->in_flight = true;
+    ConnectionServer* server = server_;
+    uint64_t id = conn->id;
+    // Started here, stopped by the worker: the gap is the time the
+    // request sat in the pool's queue behind other work.
+    telemetry::Timer queue_timer;
+    pool_->Submit([server, id, wire, context, queue_timer,
+                   request = std::move(request)]() {
+      queue_timer.RecordInto(server->queue_wait_ns_);
+      api::Response response = server->frontend_->Dispatch(request, context);
+      Completion done{id, OnWire(wire, api::EncodeResponseFor(wire, response))};
+      {
+        MutexLock lock(server->completions_mu_);
+        server->completions_.push_back(std::move(done));
+      }
+      server->Wake();
+    });
   }
 
   // Consumes `line` when it is the transport-level upgrade handshake.
@@ -521,10 +557,9 @@ class ConnectionServer::Loop {
     if (!upgrade.has_value()) {
       return false;
     }
-    uint64_t seq = conn->next_seq++;
     ++conn->requests;
     if (upgrade->protocol == api::kBinaryProtocolVersion) {
-      conn->ready.emplace(seq, api::EncodeUpgradeAccept(upgrade->id) + "\n");
+      conn->out += api::EncodeUpgradeAccept(upgrade->id) + "\n";
       conn->wire = api::WireProtocol::kBinary;
     } else {
       // Unknown target protocol: refuse, stay on NDJSON.
@@ -534,76 +569,41 @@ class ConnectionServer::Loop {
           "unsupported protocol " + std::to_string(upgrade->protocol) +
           " (this server can upgrade to protocol " +
           std::to_string(api::kBinaryProtocolVersion) + ")");
-      conn->ready.emplace(seq, api::EncodeResponse(error) + "\n");
+      conn->out += api::EncodeResponse(error) + "\n";
     }
     return true;
   }
 
-  void DispatchRequest(Connection* conn, std::string payload, bool binary) {
-    uint64_t seq = conn->next_seq++;
-    ++conn->in_flight;
-    ++conn->requests;
-    server_->dispatched_->Increment();
-    api::ConnectionContext context;
-    context.connections_active = server_->active_->Value();
-    context.connections_accepted = server_->accepted_->Value();
-    context.connection_requests_served = conn->requests;
-    context.connection_id = static_cast<int64_t>(conn->id);
-    ConnectionServer* server = server_;
-    uint64_t id = conn->id;
-    // Started here, stopped by the worker: the gap is the time the
-    // request sat in the dispatch queue behind other work.
-    telemetry::Timer queue_timer;
-    pool_->Submit([server, id, seq, context, binary, queue_timer,
-                   payload = std::move(payload)]() {
-      queue_timer.RecordInto(server->queue_wait_ns_);
-      Completion done;
-      done.connection_id = id;
-      done.seq = seq;
-      if (binary) {
-        done.frame = server->frontend_->DispatchFrame(payload, context);
-      } else {
-        done.frame = server->frontend_->DispatchLine(payload, context);
-        done.frame += '\n';
-      }
-      {
-        MutexLock lock(server->completions_mu_);
-        server->completions_.push_back(std::move(done));
-      }
-      server->Wake();
-    });
-  }
-
+  // Appends each pool response to its connection, resumes taking that
+  // connection's buffered frames, and flushes.
   void DeliverCompletions() {
     std::vector<Completion> batch;
     {
       MutexLock lock(server_->completions_mu_);
       batch.swap(server_->completions_);
     }
+    // One completion per connection at most: a connection submits its
+    // next request only after its previous response was delivered.
     for (Completion& done : batch) {
       auto it = connections_.find(done.connection_id);
       if (it == connections_.end()) {
         continue;  // connection died before its response was ready
       }
       Connection* conn = it->second.get();
-      --conn->in_flight;
-      conn->ready.emplace(done.seq, std::move(done.frame));
-    }
-    // Flush every connection that may have gained writable frames. The
-    // batch may hold several completions per connection; settling per
-    // unique connection id after the loop would be marginally cheaper
-    // but batches are small (bounded by in-flight dispatches).
-    for (const Completion& done : batch) {
-      auto it = connections_.find(done.connection_id);
-      if (it != connections_.end()) {
-        Settle(it->second.get());
-      }
+      conn->in_flight = false;
+      conn->out += done.frame;
+      Pump(conn);
+      Settle(conn);
     }
   }
 
-  bool ReadPaused(const Connection& conn) const {
-    return conn.out.size() - conn.out_pos > kReadPauseThreshold ||
-           conn.in_flight >= kMaxInFlightPerConnection;
+  static bool BacklogPaused(const Connection& conn) {
+    return conn.out.size() - conn.out_pos > kReadPauseThreshold;
+  }
+
+  // Whether the loop reads from the connection now.
+  static bool Reading(const Connection& conn) {
+    return !conn.read_closed && !conn.in_flight && !BacklogPaused(conn);
   }
 
   // Folds this connection's unsent-output and read-pause state into the
@@ -617,24 +617,16 @@ class ConnectionServer::Loop {
                                             conn->reported_unsent));
       conn->reported_unsent = unsent;
     }
-    bool paused_now = !conn->read_closed && ReadPaused(*conn);
+    bool paused_now = !conn->read_closed && BacklogPaused(*conn);
     if (paused_now && !conn->counted_paused) {
       server_->backpressure_pauses_->Increment();
     }
     conn->counted_paused = paused_now;
   }
 
-  // Moves consecutive completed frames into the write buffer (FIFO per
-  // connection), writes what the socket accepts, enforces backpressure,
-  // updates epoll interest, and closes the connection when finished.
+  // Writes what the socket accepts, enforces backpressure, updates epoll
+  // interest, and closes the connection when finished.
   void Settle(Connection* conn) {
-    while (true) {
-      auto it = conn->ready.find(conn->flush_seq);
-      if (it == conn->ready.end()) break;
-      conn->out += it->second;
-      conn->ready.erase(it);
-      ++conn->flush_seq;
-    }
     if (!TryWrite(conn)) {
       Close(conn, nullptr);
       return;
@@ -647,18 +639,15 @@ class ConnectionServer::Loop {
       Close(conn, server_->closed_slow_);
       return;
     }
-    bool finished = (conn->read_closed || conn->close_after_flush) &&
-                    conn->in_flight == 0 && conn->ready.empty() &&
-                    unsent == 0;
-    if (finished) {
-      Close(conn, nullptr);
+    if (conn->read_closed && !conn->in_flight && unsent == 0) {
+      Close(conn, nullptr);  // finished
       return;
     }
     if (!conn->pollable) {
       return;  // scheduled synthetically, never registered
     }
     uint32_t want = 0;
-    if (!conn->read_closed && !ReadPaused(*conn)) want |= EPOLLIN;
+    if (Reading(*conn)) want |= EPOLLIN;
     if (unsent > 0) want |= EPOLLOUT;
     if (conn->in_fd == conn->out_fd) {
       UpdateRegistration(conn->in_fd, conn->id, want,
@@ -737,8 +726,9 @@ class ConnectionServer::Loop {
       ::close(listen_fd_);
       listen_fd_ = -1;
     }
-    // Answer everything already read; ignore further input. Collect ids
-    // first — Settle() may erase connections while we iterate.
+    // Answer everything already read, including frames held behind an
+    // in-flight request; ignore further input. Collect ids first —
+    // Settle() may erase connections while we iterate.
     std::vector<uint64_t> ids;
     ids.reserve(connections_.size());
     for (auto& [id, conn] : connections_) {
@@ -820,15 +810,7 @@ Status ConnectionServer::Serve(int listen_fd) {
     ::close(listen_fd);
     return Status::IOError("eventfd() failed at construction");
   }
-  Loop loop(this, listen_fd);
-  Status status = loop.Run();
-  // Workers joined in ~Loop; late completions are discarded with the
-  // connections already gone.
-  {
-    MutexLock lock(completions_mu_);
-    completions_.clear();
-  }
-  return status;
+  return Loop(this, listen_fd).Run();
 }
 
 Status ConnectionServer::ServeConnection(int read_fd, int write_fd) {
@@ -837,13 +819,7 @@ Status ConnectionServer::ServeConnection(int read_fd, int write_fd) {
     if (write_fd != read_fd) ::close(write_fd);
     return Status::IOError("eventfd() failed at construction");
   }
-  Loop loop(this, /*listen_fd=*/-1, read_fd, write_fd);
-  Status status = loop.Run();
-  {
-    MutexLock lock(completions_mu_);
-    completions_.clear();
-  }
-  return status;
+  return Loop(this, /*listen_fd=*/-1, read_fd, write_fd).Run();
 }
 
 void ConnectionServer::RequestStop() {

@@ -1,29 +1,29 @@
 // ConnectionServer: a concurrent connection front for the trust service.
 //
 // One epoll event loop multiplexes any number of simultaneously connected
-// clients over a single shared api::Frontend (a ServiceFrontend or
-// a ShardRouter — the server is implementation-agnostic), and a fixed
-// dispatch pool (--threads) executes requests in parallel — queries run
-// lock-free against the published TrustSnapshot (snapshot-resident name
-// index included), so reader throughput scales with the pool while
-// ingest/commit requests serialize inside TrustService's writer lock.
+// clients over a single shared api::Frontend (the server is
+// implementation-agnostic). The loop thread reads, frames and decodes
+// every request; the frontend decides where it runs (RunsInline).
+// Snapshot reads of a frontend whose reads never block run on the loop
+// thread, lock-free against the published TrustSnapshot, as do decode
+// errors and the upgrade handshake. Everything else (ingest, commit,
+// stats, metrics, repl_*, reads forwarded to replicas) goes to a pool of
+// num_threads workers and comes back through a completion queue and an
+// eventfd wake, so a long commit never blocks the loop.
 //
 // Guarantees (see docs/wire_protocol.md, "Connection lifecycle"):
-//   * Per-connection FIFO: responses are written in the order the
-//     requests arrived on that connection, even though the pool may
-//     finish them out of order (the loop holds completed frames until
-//     every earlier frame of the same connection is ready).
-//   * No cross-connection ordering: requests from different connections
-//     interleave arbitrarily through the pool.
-//   * Backpressure: each connection's pending output is bounded (4 MiB);
-//     a client that stops reading while responses accumulate is
-//     disconnected rather than allowed to grow the buffer. Reading from
-//     a connection pauses while its output backlog passes half that cap
-//     or 1024 requests are in flight on it, so one pipelining firehose
-//     cannot monopolize the dispatch pool.
-//   * Framing bound: a single request line longer than 1 MiB (or a
-//     binary frame whose payload exceeds it) is answered with a framed
-//     INVALID_ARGUMENT and the connection closed.
+//   * Per-connection order: requests on one connection execute and are
+//     answered in arrival order. A connection has at most one request on
+//     the pool; until it is answered the loop reads nothing more from
+//     that connection and takes none of its buffered frames.
+//   * No cross-connection ordering: connections interleave arbitrarily.
+//   * Bounded work: at most one 16 KiB chunk is read per connection per
+//     readiness event. Each connection's pending output is bounded
+//     (4 MiB; a client that stops reading is disconnected), and reading
+//     from it pauses while the backlog passes half that cap.
+//   * Framing bound: a request line longer than 1 MiB (or a binary frame
+//     whose payload exceeds it) is answered, after every request before
+//     it, with a framed INVALID_ARGUMENT, and the connection closed.
 //   * Graceful shutdown: RequestStop() (async-signal-safe; wired to
 //     SIGINT/SIGTERM by wot_served) stops accepting, answers every
 //     request already read, flushes write buffers, then Serve() returns.
@@ -62,8 +62,10 @@ namespace wot {
 namespace server {
 
 struct ConnectionServerOptions {
-  /// Dispatch pool size (values < 1 are clamped to 1). Query-heavy
-  /// workloads scale with this; ingest serializes in the service anyway.
+  /// Worker threads for requests that do not run on the loop thread
+  /// (values < 1 are clamped to 1): ingest, commit, stats, metrics,
+  /// replication, and reads of a frontend that forwards them to
+  /// replicas. Ingest and commit serialize in the service anyway.
   int num_threads = 4;
   /// The framing every connection starts in. With kNdjson, binary-first
   /// clients are still sniffed by their magic first byte; with kBinary,
@@ -97,7 +99,7 @@ class ConnectionServer {
   Status Serve(int listen_fd);
 
   /// \brief Serves one already-connected byte stream — e.g. stdin/stdout
-  /// — through the same event loop, dispatch pool and drain semantics as
+  /// — through the same event loop, worker pool and drain semantics as
   /// Serve(). Takes ownership of both fds (they may be equal; regular
   /// files work — an unpollable fd is treated as always ready, which is
   /// sound because regular files never block). Blocks until the stream
@@ -127,7 +129,6 @@ class ConnectionServer {
   struct Connection;
   struct Completion {
     uint64_t connection_id = 0;
-    uint64_t seq = 0;
     std::string frame;  // encoded response (newline-terminated NDJSON,
                         // or one self-delimiting binary frame)
   };

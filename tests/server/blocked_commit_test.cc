@@ -3,11 +3,15 @@
 // releases it.
 //
 //   (a) while one connection's commit is blocked, another connection
-//       gets its reads answered;
+//       gets its reads answered, even when the commit holds the only
+//       worker thread;
 //   (b) on the committing connection, reads pipelined behind the commit
 //       are answered after it, in arrival order;
 //   (c) a fatal framing error pipelined behind the commit is answered
 //       after the commit's response, then the connection closes.
+//
+// Last, against a real ServiceFrontend: a read pipelined behind a commit
+// executes after it and answers from the snapshot it published.
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -21,6 +25,7 @@
 #include <variant>
 
 #include "server_harness.h"
+#include "testing/fixtures.h"
 #include "wot/api/codec.h"
 #include "wot/api/frontend.h"
 #include "wot/api/unix_socket.h"
@@ -39,6 +44,8 @@ constexpr uint64_t kScriptedVersion = 7;
 // Release(). Every other method answers OK with an empty payload.
 class LatchedCommitFrontend : public api::Frontend {
  public:
+  bool ReadsAreLocal() const override { return true; }
+
   void WaitUntilCommitBlocked() {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [this] { return commit_blocked_; });
@@ -115,9 +122,10 @@ bool Readable(int fd, int millis) {
   return ::poll(&pfd, 1, millis) > 0;
 }
 
-TEST(BlockedCommitTest, OtherConnectionsReadWhileACommitIsBlocked) {
+void ExpectReadsAnsweredDuringBlockedCommit(
+    const ConnectionServerOptions& options) {
   LatchedCommitFrontend frontend;
-  ServerHarness harness(&frontend);
+  ServerHarness harness(&frontend, options);
   ReleaseOnExit release(&frontend);
 
   int writer = harness.Connect();
@@ -146,6 +154,16 @@ TEST(BlockedCommitTest, OtherConnectionsReadWhileACommitIsBlocked) {
   ::close(reader_fd);
   ::close(writer);
   EXPECT_TRUE(harness.Stop().ok());
+}
+
+TEST(BlockedCommitTest, OtherConnectionsReadWhileACommitIsBlocked) {
+  ExpectReadsAnsweredDuringBlockedCommit({});
+}
+
+TEST(BlockedCommitTest, ReadsNeedNoFreeWorkerThread) {
+  ConnectionServerOptions options;
+  options.num_threads = 1;  // the blocked commit holds it
+  ExpectReadsAnsweredDuringBlockedCommit(options);
 }
 
 TEST(BlockedCommitTest, ReadsPipelinedBehindACommitAnswerInOrder) {
@@ -209,6 +227,37 @@ TEST(BlockedCommitTest, OversizedLineBehindACommitAnswersAfterIt) {
   ::close(fd);
   EXPECT_TRUE(harness.Stop().ok());
   EXPECT_EQ(harness.server()->stats().connections_closed_oversized, 1);
+}
+
+TEST(InOrderExecutionTest, ReadBehindACommitAnswersFromItsSnapshot) {
+  ServerHarness harness(wot::testing::TinyCommunity());
+  int fd = harness.Connect();
+  api::FdLineReader reader(fd);
+  for (int round = 0; round < 5; ++round) {
+    // One burst: a publishing batch, its commit, and a read naming the
+    // user the batch adds (NOT_FOUND on any earlier snapshot).
+    const std::string user = "pipelined" + std::to_string(round);
+    const std::string burst = Line(1, api::IngestUser{user}) +
+                              Line(2, api::IngestRating{user, 2, 0.8}) +
+                              Line(3, api::IngestRating{user, 0, 0.6}) +
+                              Line(4, api::CommitRequest{}) +
+                              Line(5, api::TrustQuery{user, "u1"});
+    ASSERT_TRUE(api::SendAll(fd, burst).ok());
+    api::Response responses[5];
+    for (int i = 0; i < 5; ++i) {
+      responses[i] = ReadResponse(&reader);
+      EXPECT_EQ(responses[i].id, i + 1);
+      ASSERT_TRUE(responses[i].status.ok())
+          << "request " << i + 1 << ": " << responses[i].status.message;
+    }
+    const auto& commit = std::get<api::CommitResult>(responses[3].payload);
+    EXPECT_TRUE(commit.published);
+    const auto& trust = std::get<api::TrustResult>(responses[4].payload);
+    EXPECT_EQ(trust.snapshot_version, commit.snapshot_version);
+    EXPECT_EQ(trust.source_name, user);
+  }
+  ::close(fd);
+  EXPECT_TRUE(harness.Stop().ok());
 }
 
 }  // namespace

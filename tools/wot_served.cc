@@ -10,7 +10,7 @@
 //   # serve a dataset over stdin/stdout (great for piping request scripts)
 //   wot_served --data community/ < requests.ndjson > responses.ndjson
 //
-//   # synthetic boot, resident behind a unix socket, 8 dispatch threads
+//   # synthetic boot, resident behind a unix socket, 8 worker threads
 //   wot_served --users 4000 --seed 42 --socket /tmp/wot.sock --threads 8 &
 //   wot_cli query --connect /tmp/wot.sock --source alice --top_k 10
 //
@@ -29,8 +29,9 @@
 // plain frontend; this binary serves the plain frontend then).
 //
 // Every transport — stdin/stdout, --socket, --listen — runs on the
-// wot/server ConnectionServer (epoll event loop, per-connection FIFO,
-// --threads dispatch pool) over the lock-free snapshot read path:
+// wot/server ConnectionServer (epoll event loop answering reads inline,
+// per-connection in-order execution, a --threads worker pool for
+// writes, stats and metrics) over the lock-free snapshot read path:
 // stdin/stdout serves as one pre-accepted connection, sockets
 // multiplex any number of simultaneous clients, and giving BOTH
 // listener flags runs one ConnectionServer per listener over the one
@@ -186,7 +187,7 @@ Result<Dataset> BootDataset(const std::string& data, int64_t users,
 }
 
 // Serves stdin/stdout as ONE ConnectionServer connection — the same
-// event loop, per-connection FIFO, dispatch pool, framing bounds,
+// event loop, per-connection ordering, worker pool, framing bounds,
 // upgrade/sniff negotiation and drain semantics as --socket/--listen,
 // so all three transports behave uniformly (the ad-hoc getline loop
 // this replaced knew nothing of backpressure or binary framing, and
@@ -232,7 +233,7 @@ struct Listener {
 };
 
 // Runs one ConnectionServer per listener over the shared frontend; each
-// gets its own `threads`-sized dispatch pool. Blocks until every server
+// gets its own `threads`-sized worker pool. Blocks until every server
 // drained (SIGINT/SIGTERM stops them all).
 int ServeListeners(api::Frontend* frontend,
                    const std::vector<Listener>& listeners,
@@ -266,7 +267,7 @@ int ServeListeners(api::Frontend* frontend,
 
   for (size_t i = 0; i < listeners.size(); ++i) {
     std::fprintf(stderr,
-                 "wot_served: listening on %s (%lld dispatch threads)\n",
+                 "wot_served: listening on %s (%lld worker threads)\n",
                  listeners[i].label.c_str(),
                  static_cast<long long>(threads));
   }
@@ -352,8 +353,10 @@ int Main(int argc, char** argv) {
                   "host binds 0.0.0.0, port 0 picks one). May be "
                   "combined with --socket");
   flags.AddInt64("threads", &threads,
-                 "dispatch threads per --socket/--listen connection "
-                 "server");
+                 "worker threads per connection server for requests "
+                 "that do not run on its event loop: ingest, commit, "
+                 "stats, metrics, replication, and reads forwarded to "
+                 "replicas");
   flags.AddInt64("shards", &shards,
                  "partition users across this many TrustService shards "
                  "behind a ShardRouter (1 = unsharded)");
