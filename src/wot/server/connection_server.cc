@@ -399,7 +399,7 @@ class ConnectionServer::Loop {
   // Returns false on a hard transport error (caller closes).
   bool ReadFromConnection(Connection* conn) {
     char chunk[kReadChunkBytes];
-    ssize_t n;
+    ssize_t n = 0;
     do {
       n = ::read(conn->in_fd, chunk, sizeof(chunk));
     } while (n < 0 && errno == EINTR);

@@ -7,6 +7,9 @@
 //   * repl_status reports a replica unhealthy only after a transport
 //     failure (Forward -> nullopt), never after an error response;
 //   * a replica below its shard's read floor never serves.
+//
+// Also: a router with a replica no longer lets transports run its reads
+// inline.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -198,6 +201,26 @@ INSTANTIATE_TEST_SUITE_P(
                                          Script::kStale),
                        ::testing::Values(Method::kTrust, Method::kTopK)),
     CaseName);
+
+// A transport may run a router's reads on its own thread only while no
+// replica is registered: a replica read is a blocking forward. Writes
+// never run inline.
+TEST(ShardRouterPlacementTest, ReadsRunInlineUntilAReplicaIsRegistered) {
+  Dataset seed = Seed();
+  std::unique_ptr<ShardRouter> router =
+      ShardRouter::Create(seed, kShards).ValueOrDie();
+  Request trust;
+  trust.payload = TrustQuery{"0", "2"};
+  Request commit;
+  commit.payload = CommitRequest{};
+  EXPECT_TRUE(router->RunsInline(trust));
+  EXPECT_FALSE(router->RunsInline(commit));
+
+  router->AddReplica(0, std::make_shared<ScriptedReplica>(
+                            router->shard_service(0), Script::kCaughtUp));
+  EXPECT_FALSE(router->RunsInline(trust));
+  EXPECT_FALSE(router->RunsInline(commit));
+}
 
 }  // namespace
 }  // namespace api
