@@ -99,10 +99,16 @@ void ShardRouter::AddReplica(size_t shard,
       "replication.replica_applied.s" + std::to_string(shard) + ".r" +
       std::to_string(shards_[shard]->replicas.size()));
   shards_[shard]->replicas.push_back(std::move(slot));
-  has_replicas_ = true;
   ReplicationHandler* prior = replication_handler();
   if (prior != nullptr && prior != this) fetch_delegate_ = prior;
   set_replication_handler(this);
+}
+
+bool ShardRouter::ReadsAreLocal() const {
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    if (!shard->replicas.empty()) return false;
+  }
+  return true;
 }
 
 ReplicaProbe ShardRouter::Probe(ReplicaSlot* slot) {

@@ -156,7 +156,7 @@ class ShardRouter : public Frontend, private ReplicationHandler {
 
   /// Shard reads are lock-free on the shards' snapshots until a replica
   /// is registered: a replica read is a blocking forward.
-  bool ReadsAreLocal() const override { return !has_replicas_; }
+  bool ReadsAreLocal() const override;
 
  protected:
   Response DispatchPayload(const Request& request,
@@ -269,8 +269,6 @@ class ShardRouter : public Frontend, private ReplicationHandler {
   /// ReplicationSource, which keeps answering repl_fetch through the
   /// router. Written only by AddReplica (before serving traffic).
   ReplicationHandler* fetch_delegate_ = nullptr;
-  /// Set by the first AddReplica (before serving traffic).
-  bool has_replicas_ = false;
 
   // Router-level instruments (resolved once in InitTelemetry; the base
   // registry outlives them).
