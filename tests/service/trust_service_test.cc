@@ -138,6 +138,76 @@ TEST(TrustServiceTest, CommitScopesRefreshToDirtyCategoriesAndUsers) {
   EXPECT_EQ(stats.postings_rebuilt, 1u);
 }
 
+TEST(TrustServiceTest, RatingsInTwoCategoriesRecomputeBoth) {
+  std::unique_ptr<TrustService> service =
+      MustCreate(testing::TinyCommunity());
+  // r1 is a books review, r2 a movies review; neither was written by u3.
+  ASSERT_TRUE(service->AddRating(UserId(3), ReviewId(1), 0.8).ok());
+  ASSERT_TRUE(service->AddRating(UserId(3), ReviewId(2), 0.8).ok());
+  TrustService::CommitStats stats = service->Commit().ValueOrDie();
+  EXPECT_TRUE(stats.published);
+  EXPECT_EQ(stats.categories_recomputed, 2u);
+  EXPECT_EQ(stats.postings_rebuilt, 2u);
+}
+
+TEST(TrustServiceTest, NewCategoryAlonePublishesAndRecomputesIt) {
+  std::unique_ptr<TrustService> service =
+      MustCreate(testing::TinyCommunity());
+  service->AddCategory("music");
+  TrustService::CommitStats stats = service->Commit().ValueOrDie();
+  EXPECT_TRUE(stats.published);
+  EXPECT_EQ(stats.categories_recomputed, 1u);
+  EXPECT_EQ(stats.affiliation_rows_recomputed, 0u);
+  EXPECT_EQ(service->Snapshot()->num_categories(), 3u);
+}
+
+TEST(TrustServiceTest, ReviewlessObjectRecomputesNothing) {
+  std::unique_ptr<TrustService> service =
+      MustCreate(testing::TinyCommunity());
+  ASSERT_TRUE(service->AddObject(CategoryId(1), "unreviewed").ok());
+  TrustService::CommitStats stats = service->Commit().ValueOrDie();
+  EXPECT_FALSE(stats.published);
+  EXPECT_EQ(stats.categories_recomputed, 0u);
+  // The next real change still recomputes only its own category.
+  ASSERT_TRUE(service->AddRating(UserId(3), ReviewId(2), 0.8).ok());
+  stats = service->Commit().ValueOrDie();
+  EXPECT_TRUE(stats.published);
+  EXPECT_EQ(stats.categories_recomputed, 1u);
+}
+
+TEST(TrustServiceTest, RestoreRejectsReputationShapesThatMissTheDataset) {
+  std::unique_ptr<TrustService> original =
+      MustCreate(testing::TinyCommunity());
+  const TrustSnapshot& snap = *original->Snapshot();
+  auto restore = [&](ReputationResult reputation) {
+    return TrustService::Restore(original->staged_dataset(),
+                                 std::move(reputation), snap.affiliation(),
+                                 {}, snap.version())
+        .status();
+  };
+  ASSERT_TRUE(restore(snap.reputation()).ok());
+
+  ReputationResult wide_expertise = snap.reputation();
+  wide_expertise.expertise =
+      DenseMatrix(snap.num_users(), snap.num_categories() + 1, 0.0);
+  EXPECT_EQ(restore(std::move(wide_expertise)).code(),
+            StatusCode::kInvalidArgument);
+
+  ReputationResult extra_quality = snap.reputation();
+  extra_quality.review_quality.push_back(0.5);
+  EXPECT_EQ(restore(std::move(extra_quality)).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(TrustServiceTest, CreateRejectsNonPositiveTolerance) {
+  TrustServiceOptions options;
+  options.reputation.tolerance = 0.0;
+  Result<std::unique_ptr<TrustService>> service =
+      TrustService::Create(testing::TinyCommunity(), options);
+  ASSERT_FALSE(service.ok());
+  EXPECT_EQ(service.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(TrustServiceTest, CleanCategoryPostingsAreSharedAcrossSnapshots) {
   Dataset ds = testing::TinyCommunity();
   std::unique_ptr<TrustService> service = MustCreate(ds);
