@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "wot/core/pipeline.h"
+#include "wot/service/pipeline.h"
 #include "wot/eval/quartile.h"
 #include "wot/eval/rank_correlation.h"
 #include "wot/util/check.h"

@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "wot/core/pipeline.h"
+#include "wot/service/pipeline.h"
 #include "wot/eval/density.h"
 #include "wot/util/check.h"
 #include "wot/util/stopwatch.h"

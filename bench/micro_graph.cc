@@ -6,7 +6,7 @@
 
 #include "bench_util.h"
 #include "wot/core/binarization.h"
-#include "wot/core/pipeline.h"
+#include "wot/service/pipeline.h"
 #include "wot/graph/appleseed.h"
 #include "wot/graph/eigen_trust.h"
 #include "wot/graph/guha_propagation.h"

@@ -1,102 +1,73 @@
-// Microbenchmark of incremental reputation maintenance: appending one
-// rating and updating vs rebuilding everything — the speedup is the point
-// of IncrementalReputationEngine.
+// Microbenchmark of incremental Step 1: re-solving the one category an
+// appended rating dirties vs re-solving every category. Both run the same
+// RecomputeCategories body that TrustService::Commit runs, on pre-built
+// indices, so the comparison isolates the reputation compute itself.
 #include <map>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
-#include "wot/community/dataset_builder.h"
-#include "wot/reputation/incremental.h"
+#include "wot/reputation/engine.h"
 
 namespace wot {
 namespace {
 
-struct Grown {
-  Dataset before;
-  Dataset after;  // before + one extra rating in category 0
+struct Solved {
+  Dataset dataset;
+  DatasetIndices indices;
+  ReputationResult result;
 };
 
-const Grown& GrownOfSize(size_t users) {
-  static std::map<size_t, Grown>* cache = new std::map<size_t, Grown>();
+const Solved& SolvedOfSize(size_t users) {
+  static std::map<size_t, Solved>* cache = new std::map<size_t, Solved>();
   auto it = cache->find(users);
   if (it != cache->end()) {
     return it->second;
   }
-  SynthCommunity community =
-      GenerateCommunity(bench::PaperScaleConfig(users, 42)).ValueOrDie();
-  // Rebuild the dataset twice: once as-is, once with one extra rating.
-  Grown grown;
-  for (int with_extra = 0; with_extra < 2; ++with_extra) {
-    DatasetBuilder builder;
-    const Dataset& src = community.dataset;
-    for (const auto& category : src.categories()) {
-      builder.AddCategory(category.name);
-    }
-    for (const auto& user : src.users()) {
-      builder.AddUser(user.name);
-    }
-    for (const auto& object : src.objects()) {
-      WOT_CHECK(builder.AddObject(object.category, object.name).ok());
-    }
-    for (const auto& review : src.reviews()) {
-      WOT_CHECK(builder.AddReview(review.writer, review.object).ok());
-    }
-    for (const auto& rating : src.ratings()) {
-      WOT_CHECK_OK(
-          builder.AddRating(rating.rater, rating.review, rating.value));
-    }
-    if (with_extra == 1) {
-      // Find a (rater, review) pair in category 0 that does not exist yet.
-      DatasetIndices indices(src);
-      ReviewId target = indices.ReviewsInCategory(CategoryId(0))[0];
-      for (const auto& user : src.users()) {
-        if (src.review(target).writer != user.id &&
-            builder.AddRating(user.id, target, 0.8).ok()) {
-          break;
-        }
-      }
-    }
-    (with_extra == 0 ? grown.before : grown.after) =
-        builder.Build().ValueOrDie();
-  }
-  return cache->emplace(users, std::move(grown)).first->second;
+  Dataset dataset =
+      GenerateCommunity(bench::PaperScaleConfig(users, 42)).ValueOrDie()
+          .dataset;
+  DatasetIndices indices(dataset);
+  ReputationResult result =
+      ComputeReputations(dataset, indices, ReputationOptions{}).ValueOrDie();
+  return cache
+      ->emplace(users, Solved{std::move(dataset), std::move(indices),
+                              std::move(result)})
+      .first->second;
 }
 
-// Both variants receive pre-built indices, so the comparison isolates the
-// reputation compute itself (index construction costs the same either
-// way and callers typically keep indices alongside the dataset).
-void BM_FullRebuildAfterOneRating(benchmark::State& state) {
-  const Grown& grown = GrownOfSize(static_cast<size_t>(state.range(0)));
-  DatasetIndices indices(grown.after);
+void BM_AllCategories(benchmark::State& state) {
+  const Solved& solved = SolvedOfSize(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    IncrementalReputationEngine engine;
-    WOT_CHECK_OK(engine.FullRebuild(grown.after, indices));
-    benchmark::DoNotOptimize(engine.result().expertise.data().data());
+    ReputationResult result =
+        ComputeReputations(solved.dataset, solved.indices,
+                           ReputationOptions{})
+            .ValueOrDie();
+    benchmark::DoNotOptimize(result.expertise.data().data());
   }
+  state.counters["categories"] =
+      static_cast<double>(solved.dataset.num_categories());
 }
-BENCHMARK(BM_FullRebuildAfterOneRating)
+BENCHMARK(BM_AllCategories)
     ->Arg(1000)
     ->Arg(4000)
     ->Unit(benchmark::kMillisecond);
 
-void BM_IncrementalUpdateAfterOneRating(benchmark::State& state) {
-  const Grown& grown = GrownOfSize(static_cast<size_t>(state.range(0)));
-  DatasetIndices before_indices(grown.before);
-  DatasetIndices after_indices(grown.after);
-  IncrementalReputationEngine engine;
-  WOT_CHECK_OK(engine.FullRebuild(grown.before, before_indices));
-  size_t recomputed = 0;
+void BM_OneDirtyCategory(benchmark::State& state) {
+  const Solved& solved = SolvedOfSize(static_cast<size_t>(state.range(0)));
+  // Re-solving a category in place is idempotent, so every iteration has
+  // exactly one dirty category to recompute.
+  ReputationResult result = solved.result;
+  const std::vector<size_t> dirty = {0};
   for (auto _ : state) {
-    // Alternate between the two versions so every iteration has exactly
-    // one dirty category to recompute.
-    WOT_CHECK_OK(engine.Update(grown.after, after_indices, &recomputed));
-    WOT_CHECK_OK(engine.Update(grown.before, before_indices, &recomputed));
-    benchmark::DoNotOptimize(engine.result().expertise.data().data());
+    WOT_CHECK_OK(RecomputeCategories(solved.dataset, solved.indices, dirty,
+                                     ReputationOptions{}, &result));
+    benchmark::DoNotOptimize(result.expertise.data().data());
   }
-  state.counters["dirty_categories"] = static_cast<double>(recomputed);
+  state.counters["categories"] = static_cast<double>(dirty.size());
 }
-BENCHMARK(BM_IncrementalUpdateAfterOneRating)
+BENCHMARK(BM_OneDirtyCategory)
     ->Arg(1000)
     ->Arg(4000)
     ->Unit(benchmark::kMillisecond);

@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "wot/core/binarization.h"
-#include "wot/core/pipeline.h"
+#include "wot/service/pipeline.h"
 #include "wot/eval/rank_correlation.h"
 #include "wot/linalg/vector_ops.h"
 #include "wot/graph/appleseed.h"

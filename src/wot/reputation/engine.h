@@ -33,10 +33,24 @@ struct ReputationResult {
   std::vector<ConvergenceInfo> convergence;
 };
 
-/// \brief Runs Step 1 over all categories of \p dataset.
+/// \brief Re-solves Step 1 for the listed \p categories of \p dataset into
+/// \p result, resetting each listed category's expertise and rater
+/// columns first; every other entry of \p result is left as it is.
 ///
-/// Categories are independent; they are processed concurrently on
-/// options.num_threads workers. Deterministic regardless of thread count.
+/// \p result must already have the dataset's shape (U x C matrices, one
+/// quality slot per review, one convergence entry per category).
+/// Categories are independent in the Riggs model, so re-solving exactly the
+/// categories whose reviews or ratings changed gives the same bits as a
+/// full run. They are processed concurrently on options.num_threads
+/// workers; deterministic regardless of thread count.
+Status RecomputeCategories(const Dataset& dataset,
+                           const DatasetIndices& indices,
+                           const std::vector<size_t>& categories,
+                           const ReputationOptions& options,
+                           ReputationResult* result);
+
+/// \brief Runs Step 1 over all categories of \p dataset: RecomputeCategories
+/// over every category on a zeroed result.
 Result<ReputationResult> ComputeReputations(const Dataset& dataset,
                                             const DatasetIndices& indices,
                                             const ReputationOptions& options);

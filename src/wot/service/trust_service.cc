@@ -9,6 +9,41 @@
 #include "wot/util/string_util.h"
 
 namespace wot {
+namespace {
+
+// \p prev in a rows x cols matrix; new rows and columns are zero.
+DenseMatrix GrownTo(const DenseMatrix& prev, size_t rows, size_t cols) {
+  if (prev.rows() == rows && prev.cols() == cols) {
+    return prev;
+  }
+  DenseMatrix grown(rows, cols, 0.0);
+  for (size_t r = 0; r < prev.rows(); ++r) {
+    auto src = prev.Row(r);
+    std::copy(src.begin(), src.end(), grown.Row(r).begin());
+  }
+  return grown;
+}
+
+// A copy of \p prev in the shape of \p dataset, which grew from prev's
+// dataset by appends only. Entries of new users, categories and reviews
+// are zero until their categories are re-solved.
+ReputationResult GrownTo(const ReputationResult& prev,
+                         const Dataset& dataset) {
+  ReputationResult grown;
+  grown.expertise = GrownTo(prev.expertise, dataset.num_users(),
+                            dataset.num_categories());
+  grown.rater_reputation = GrownTo(
+      prev.rater_reputation, dataset.num_users(), dataset.num_categories());
+  grown.review_quality.reserve(dataset.num_reviews());
+  grown.review_quality = prev.review_quality;
+  grown.review_quality.resize(dataset.num_reviews(), 0.0);
+  grown.convergence.reserve(dataset.num_categories());
+  grown.convergence = prev.convergence;
+  grown.convergence.resize(dataset.num_categories());
+  return grown;
+}
+
+}  // namespace
 
 std::string UserIndexOutOfRangeMessage(std::string_view ref,
                                        size_t num_users) {
@@ -38,8 +73,7 @@ TrustService::TrustService(const TrustServiceOptions& options)
       commit_publish_ns_(metrics_->histogram("service.commit_publish_ns")),
       commit_dirty_categories_(
           metrics_->histogram("service.commit_dirty_categories")),
-      builder_(options.builder),
-      engine_(options.reputation) {}
+      builder_(options.builder) {}
 
 Result<std::unique_ptr<TrustService>> TrustService::Create(
     const Dataset& seed, const TrustServiceOptions& options) {
@@ -119,11 +153,19 @@ Result<std::unique_ptr<TrustService>> TrustService::Restore(
       return Status::InvalidArgument("null expertise posting");
     }
   }
-  // Seed the incremental engine with the persisted converged state (it
-  // validates the reputation shapes) so the next Commit() recomputes only
-  // categories dirtied after this restore point. The index-free overload
-  // counts the activity fingerprints off the columns directly.
-  WOT_RETURN_IF_ERROR(service->engine_.Seed(staged, reputation));
+  // The persisted result is the converged state of exactly this dataset;
+  // it comes from disk, so check its shapes before serving it. Nothing is
+  // marked dirty: the next Commit() re-solves only what is ingested after
+  // this restore point.
+  if (reputation.expertise.rows() != staged.num_users() ||
+      reputation.expertise.cols() != staged.num_categories() ||
+      reputation.rater_reputation.rows() != staged.num_users() ||
+      reputation.rater_reputation.cols() != staged.num_categories() ||
+      reputation.review_quality.size() != staged.num_reviews() ||
+      reputation.convergence.size() != staged.num_categories()) {
+    return Status::InvalidArgument(
+        "reputation shape does not match the restored dataset");
+  }
 
   // Rebuilding the name directory as one chunk preserves lookup
   // semantics exactly (first id wins under duplicate names either way).
@@ -140,10 +182,6 @@ Result<std::unique_ptr<TrustService>> TrustService::Restore(
       std::move(user_names), std::move(category_names), version,
       staged.num_reviews(), staged.num_ratings());
   service->published_.store(snapshot, std::memory_order_release);
-  service->published_users_ = staged.num_users();
-  service->published_categories_ = staged.num_categories();
-  service->published_reviews_ = staged.num_reviews();
-  service->published_ratings_ = staged.num_ratings();
   service->next_version_ = version + 1;
   return service;
 }
@@ -170,6 +208,22 @@ CategoryId TrustService::AddCategory(std::string name) {
 Result<ObjectId> TrustService::AddObject(CategoryId category,
                                          std::string name) {
   MutexLock lock(writer_mu_);
+  return AddObjectLocked(category, std::move(name));
+}
+
+Result<ReviewId> TrustService::AddReview(UserId writer, ObjectId object) {
+  MutexLock lock(writer_mu_);
+  return AddReviewLocked(writer, object);
+}
+
+Status TrustService::AddRating(UserId rater, ReviewId review, double value) {
+  MutexLock lock(writer_mu_);
+  return AddRatingLocked(rater, review, value);
+}
+
+Result<ObjectId> TrustService::AddObjectLocked(CategoryId category,
+                                               std::string name) {
+  // An object without reviews changes nothing derivable: no dirty marks.
   Result<ObjectId> id = builder_.AddObject(category, std::move(name));
   if (id.ok() && mutation_log_ != nullptr) {
     mutation_log_->LogAddObject(category.value(),
@@ -178,11 +232,11 @@ Result<ObjectId> TrustService::AddObject(CategoryId category,
   return id;
 }
 
-Result<ReviewId> TrustService::AddReview(UserId writer, ObjectId object) {
-  MutexLock lock(writer_mu_);
+Result<ReviewId> TrustService::AddReviewLocked(UserId writer,
+                                               ObjectId object) {
   Result<ReviewId> id = builder_.AddReview(writer, object);
   if (id.ok()) {
-    MarkDirty(writer);
+    MarkDirty(writer, builder_.StagedView().objects()[object.index()].category);
     if (mutation_log_ != nullptr) {
       mutation_log_->LogAddReview(writer.value(), object.value());
     }
@@ -190,11 +244,11 @@ Result<ReviewId> TrustService::AddReview(UserId writer, ObjectId object) {
   return id;
 }
 
-Status TrustService::AddRating(UserId rater, ReviewId review, double value) {
-  MutexLock lock(writer_mu_);
+Status TrustService::AddRatingLocked(UserId rater, ReviewId review,
+                                     double value) {
   Status status = builder_.AddRating(rater, review, value);
   if (status.ok()) {
-    MarkDirty(rater);
+    MarkDirty(rater, builder_.StagedView().reviews()[review.index()].category);
     if (mutation_log_ != nullptr) {
       mutation_log_->LogAddRating(rater.value(), review.value(), value);
     }
@@ -264,12 +318,7 @@ Result<ObjectId> TrustService::AddObjectByRef(std::string_view category_ref,
   MutexLock lock(writer_mu_);
   WOT_ASSIGN_OR_RETURN(CategoryId category,
                        ResolveStagedCategoryLocked(category_ref));
-  Result<ObjectId> id = builder_.AddObject(category, std::move(name));
-  if (id.ok() && mutation_log_ != nullptr) {
-    mutation_log_->LogAddObject(category.value(),
-                                builder_.StagedView().objects().back().name);
-  }
-  return id;
+  return AddObjectLocked(category, std::move(name));
 }
 
 Result<ReviewId> TrustService::AddReviewByRef(std::string_view writer_ref,
@@ -282,16 +331,7 @@ Result<ReviewId> TrustService::AddReviewByRef(std::string_view writer_ref,
         "object id " + std::to_string(object) + " out of range [0, " +
         std::to_string(builder_.StagedView().num_objects()) + ")");
   }
-  Result<ReviewId> id =
-      builder_.AddReview(writer, ObjectId(static_cast<uint32_t>(object)));
-  if (id.ok()) {
-    MarkDirty(writer);
-    if (mutation_log_ != nullptr) {
-      mutation_log_->LogAddReview(writer.value(),
-                                  static_cast<uint32_t>(object));
-    }
-  }
-  return id;
+  return AddReviewLocked(writer, ObjectId(static_cast<uint32_t>(object)));
 }
 
 Status TrustService::AddRatingByRef(std::string_view rater_ref,
@@ -304,23 +344,19 @@ Status TrustService::AddRatingByRef(std::string_view rater_ref,
         review,
         static_cast<int64_t>(builder_.StagedView().num_reviews())));
   }
-  Status status = builder_.AddRating(
-      rater, ReviewId(static_cast<uint32_t>(review)), value);
-  if (status.ok()) {
-    MarkDirty(rater);
-    if (mutation_log_ != nullptr) {
-      mutation_log_->LogAddRating(rater.value(),
-                                  static_cast<uint32_t>(review), value);
-    }
-  }
-  return status;
+  return AddRatingLocked(rater, ReviewId(static_cast<uint32_t>(review)),
+                         value);
 }
 
-void TrustService::MarkDirty(UserId user) {
+void TrustService::MarkDirty(UserId user, CategoryId category) {
   if (user.index() >= dirty_users_.size()) {
     dirty_users_.resize(user.index() + 1, false);
   }
   dirty_users_[user.index()] = true;
+  if (category.index() >= dirty_categories_.size()) {
+    dirty_categories_.resize(category.index() + 1, false);
+  }
+  dirty_categories_[category.index()] = true;
 }
 
 Result<TrustService::CommitStats> TrustService::Commit() {
@@ -335,11 +371,13 @@ bool TrustService::CommitWouldPublish() {
 
 bool TrustService::StagedMatchesPublishedLocked() const {
   const Dataset& staged = builder_.StagedView();
-  return published_.load(std::memory_order_acquire) != nullptr &&
-         staged.num_users() == published_users_ &&
-         staged.num_categories() == published_categories_ &&
-         staged.num_reviews() == published_reviews_ &&
-         staged.num_ratings() == published_ratings_;
+  std::shared_ptr<const TrustSnapshot> published =
+      published_.load(std::memory_order_acquire);
+  return published != nullptr &&
+         staged.num_users() == published->num_users() &&
+         staged.num_categories() == published->num_categories() &&
+         staged.num_reviews() == published->num_reviews() &&
+         staged.num_ratings() == published->num_ratings();
 }
 
 Result<TrustService::CommitStats> TrustService::CommitLocked() {
@@ -363,27 +401,40 @@ Result<TrustService::CommitStats> TrustService::CommitLocked() {
   }
 
   DatasetIndices indices(staged);
+  const size_t num_users = staged.num_users();
+  const size_t num_categories = staged.num_categories();
+  const size_t prev_users = prev != nullptr ? prev->num_users() : 0;
+  const size_t prev_categories = prev != nullptr ? prev->num_categories() : 0;
 
-  // Step 1: dirty categories only.
-  {
-    WOT_TIMED(commit_update_ns_);
-    WOT_RETURN_IF_ERROR(engine_.Update(staged, indices));
+  // Step 1: re-solve the categories marked at ingest and every category
+  // the previous snapshot does not have, on a copy of the previous
+  // snapshot's result grown to the staged shape. The copy becomes the new
+  // snapshot's own, so published state never changes behind readers.
+  dirty_categories_.resize(num_categories, false);
+  std::fill(dirty_categories_.begin() + prev_categories,
+            dirty_categories_.end(), true);
+  std::vector<size_t> dirty_categories;
+  for (size_t c = 0; c < num_categories; ++c) {
+    if (dirty_categories_[c]) {
+      dirty_categories.push_back(c);
+    }
   }
-  const std::vector<size_t>& dirty_categories =
-      engine_.last_recomputed_categories();
   stats.categories_recomputed = dirty_categories.size();
   commit_dirty_categories_->Record(
       static_cast<int64_t>(dirty_categories.size()));
-  // The snapshot owns an independent copy so later Updates cannot mutate
-  // published state behind readers' backs.
-  ReputationResult reputation = engine_.result();
+  ReputationResult reputation;
+  {
+    WOT_TIMED(commit_update_ns_);
+    static const ReputationResult kNoReputation;
+    reputation =
+        GrownTo(prev != nullptr ? prev->reputation() : kNoReputation, staged);
+    WOT_RETURN_IF_ERROR(RecomputeCategories(
+        staged, indices, dirty_categories, options_.reputation, &reputation));
+  }
 
   // Step 2: refresh only the affiliation rows of users whose own activity
   // changed; everyone else keeps their previous row (zero-padded for new
   // categories, where their counts are still zero).
-  const size_t num_users = staged.num_users();
-  const size_t num_categories = staged.num_categories();
-  const size_t prev_users = prev != nullptr ? prev->num_users() : 0;
   DenseMatrix affiliation(num_users, num_categories, 0.0);
   {
     WOT_TIMED(commit_affiliation_ns_);
@@ -406,19 +457,14 @@ Result<TrustService::CommitStats> TrustService::CommitLocked() {
   // share the previous snapshot's postings (their expertise column is
   // unchanged — new users carry zero expertise there and postings omit
   // zeros).
-  std::vector<ExpertisePostingPtr> postings;
-  if (options_.build_postings) {
+  std::vector<ExpertisePostingPtr> postings(num_categories);
+  {
     WOT_TIMED(commit_postings_ns_);
-    postings.resize(num_categories);
-    std::vector<bool> category_dirty(num_categories, false);
-    for (size_t c : dirty_categories) {
-      category_dirty[c] = true;
-    }
     static const std::vector<ExpertisePostingPtr> kNoPostings;
     const std::vector<ExpertisePostingPtr>& prev_postings =
         prev != nullptr ? prev->deriver().postings() : kNoPostings;
     for (size_t c = 0; c < num_categories; ++c) {
-      if (!category_dirty[c] && c < prev_postings.size()) {
+      if (!dirty_categories_[c] && c < prev_postings.size()) {
         postings[c] = prev_postings[c];
       } else {
         postings[c] =
@@ -457,11 +503,8 @@ Result<TrustService::CommitStats> TrustService::CommitLocked() {
     published_.store(snapshot, std::memory_order_release);
   }
 
-  published_users_ = staged.num_users();
-  published_categories_ = staged.num_categories();
-  published_reviews_ = staged.num_reviews();
-  published_ratings_ = staged.num_ratings();
   std::fill(dirty_users_.begin(), dirty_users_.end(), false);
+  std::fill(dirty_categories_.begin(), dirty_categories_.end(), false);
 
   stats.version = snapshot->version();
   stats.published = true;

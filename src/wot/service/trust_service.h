@@ -6,13 +6,15 @@
 //   * Ingest is append-only: AddUser / AddCategory / AddObject / AddReview /
 //     AddRating accumulate activity under the same referential-integrity
 //     rules as DatasetBuilder.
-//   * Commit() folds the staged activity into derived state incrementally —
-//     Step 1 recomputes only dirty categories (IncrementalReputationEngine),
-//     Step 2 refreshes only the affiliation rows of users whose activity
-//     changed, Step 3 rebuilds expertise postings only for dirty categories
-//     (clean categories share the previous snapshot's postings) — and
-//     publishes a new immutable TrustSnapshot. Results are bit-identical to
-//     a from-scratch TrustPipeline::Run over the same data.
+//   * Ingest marks what it dirties: a review or rating marks its user and
+//     its category. Commit() folds the staged activity into derived state
+//     incrementally — Step 1 re-solves only the dirty categories, starting
+//     from the previous snapshot's result, Step 2 refreshes only the
+//     affiliation rows of dirty users, Step 3 rebuilds expertise postings
+//     only for dirty categories (clean categories share the previous
+//     snapshot's postings) — and publishes a new immutable TrustSnapshot.
+//     Results are bit-identical to a from-scratch TrustPipeline::Run over
+//     the same data.
 //   * Reads are lock-free: Snapshot() atomically loads the latest published
 //     std::shared_ptr<const TrustSnapshot>; unlimited reader threads may
 //     call Trust / TopK / ExplainTrust concurrently with a committing
@@ -42,7 +44,7 @@
 
 #include "wot/community/dataset.h"
 #include "wot/community/dataset_builder.h"
-#include "wot/reputation/incremental.h"
+#include "wot/reputation/engine.h"
 #include "wot/service/mutation_log.h"
 #include "wot/service/trust_snapshot.h"
 #include "wot/telemetry/metric_registry.h"
@@ -68,9 +70,6 @@ struct TrustServiceOptions {
   ReputationOptions reputation;
   /// Ingest policy (referential integrity and rating-scale rules).
   DatasetBuilderOptions builder;
-  /// Maintain per-category expertise postings in every snapshot so TopK
-  /// runs the threshold algorithm.
-  bool build_postings = true;
 };
 
 /// \brief Long-lived, concurrently readable trust serving layer.
@@ -107,9 +106,11 @@ class TrustService {
   /// ingest dedup keys rebuild lazily on first mutation), while the
   /// expensive derived state — \p reputation, \p affiliation,
   /// \p postings — is adopted as published snapshot \p version without
-  /// recomputation. The incremental engine is seeded so the next Commit()
-  /// stays incremental and bit-identical to an uninterrupted service.
-  /// \p postings may be empty (TopK falls back to dense derivation).
+  /// recomputation, after checking its shapes against \p dataset. Nothing
+  /// starts dirty, so the next Commit() re-solves only what is ingested
+  /// after the restore and stays bit-identical to an uninterrupted service.
+  /// \p postings may be empty (TopK falls back to dense derivation until
+  /// the next publish builds them).
   static Result<std::unique_ptr<TrustService>> Restore(
       Dataset dataset, ReputationResult reputation, DenseMatrix affiliation,
       std::vector<ExpertisePostingPtr> postings, uint64_t version,
@@ -233,8 +234,18 @@ class TrustService {
  private:
   explicit TrustService(const TrustServiceOptions& options);
 
-  /// Marks \p user as needing an affiliation-row refresh at next Commit.
-  void MarkDirty(UserId user) WOT_REQUIRES(writer_mu_);
+  /// Marks \p user's affiliation row and \p category's Step-1 solution
+  /// as needing a refresh at the next Commit.
+  void MarkDirty(UserId user, CategoryId category) WOT_REQUIRES(writer_mu_);
+
+  // The one append of each mutation, shared by the id and ref forms: the
+  // builder call, the dirty marks and the mutation-log call.
+  Result<ObjectId> AddObjectLocked(CategoryId category, std::string name)
+      WOT_REQUIRES(writer_mu_);
+  Result<ReviewId> AddReviewLocked(UserId writer, ObjectId object)
+      WOT_REQUIRES(writer_mu_);
+  Status AddRatingLocked(UserId rater, ReviewId review, double value)
+      WOT_REQUIRES(writer_mu_);
 
   /// Resolves a name-or-index user ref against the staged dataset
   /// (absorbs the staged tail into the name index).
@@ -249,7 +260,8 @@ class TrustService {
   Result<CommitStats> CommitLocked() WOT_REQUIRES(writer_mu_);
 
   /// True when nothing derivable changed since the last publish (at most
-  /// new reviewless objects), so a commit publishes nothing.
+  /// new reviewless objects), so a commit publishes nothing. Compares the
+  /// staged counts with the published snapshot's.
   bool StagedMatchesPublishedLocked() const WOT_REQUIRES(writer_mu_);
 
   TrustServiceOptions options_;
@@ -269,9 +281,11 @@ class TrustService {
   // Writer state: guarded by writer_mu_. Readers never touch it.
   mutable Mutex writer_mu_;
   DatasetBuilder builder_ WOT_GUARDED_BY(writer_mu_);
-  IncrementalReputationEngine engine_ WOT_GUARDED_BY(writer_mu_);
-  // Indexed by user id.
+  // What changed since the published snapshot, marked at ingest and
+  // cleared on publish. Users and categories the snapshot does not have
+  // yet are dirty without a mark. Indexed by user / category id.
   std::vector<bool> dirty_users_ WOT_GUARDED_BY(writer_mu_);
+  std::vector<bool> dirty_categories_ WOT_GUARDED_BY(writer_mu_);
   // Staged-side name lookup for ref-based ingest; absorbs the appended
   // tail lazily (users are dense with immutable names, so entries never
   // change). emplace keeps the first id under a duplicated name.
@@ -281,11 +295,6 @@ class TrustService {
   // Durability hook; not owned. Null until SetMutationLog.
   MutationLog* mutation_log_ WOT_GUARDED_BY(writer_mu_) = nullptr;
   uint64_t next_version_ WOT_GUARDED_BY(writer_mu_) = 1;
-  // Entity counts the latest snapshot was derived from.
-  size_t published_users_ WOT_GUARDED_BY(writer_mu_) = 0;
-  size_t published_categories_ WOT_GUARDED_BY(writer_mu_) = 0;
-  size_t published_reviews_ WOT_GUARDED_BY(writer_mu_) = 0;
-  size_t published_ratings_ WOT_GUARDED_BY(writer_mu_) = 0;
 
   // The one reader/writer rendezvous: an atomically swapped shared_ptr.
   std::atomic<std::shared_ptr<const TrustSnapshot>> published_;

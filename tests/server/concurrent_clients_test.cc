@@ -5,8 +5,8 @@
 //      interleaved query scripts against ONE server and every response
 //      is byte-identical to dispatching the same script through an
 //      in-process LoopbackClient-style frontend — proving the event
-//      loop, dispatch pool and per-connection FIFO reordering are
-//      transparent.
+//      loop, its inline reads, the worker pool and per-connection
+//      ordering are transparent.
 //   2. A writer commits new snapshots while reader connections stream
 //      queries through the event loop: every frame stays well-formed and
 //      snapshot versions observed on one connection never move backward
@@ -167,12 +167,12 @@ TEST(ConcurrentClientsTest, SnapshotSwapsUnderTheEventLoopStayConsistent) {
   auto reader_client = [&](int index) {
     int fd = harness.Connect();
     api::FdLineReader reader(fd);
-    // Monotonicity is asserted ACROSS pipelined rounds, not within one:
-    // the dispatch pool may execute a burst's requests out of order
-    // (responses come back FIFO, but the snapshot each request loaded is
-    // whichever was published at its execution instant). Once a round's
-    // responses are all consumed, every later request is dispatched
-    // strictly after — coherence then forbids older snapshots.
+    // Monotonicity is asserted ACROSS pipelined rounds, which needs no
+    // assumption about when each request of a round executes (the
+    // snapshot a request loads is whichever was published at that
+    // instant). Once a round's responses are all consumed, every later
+    // request is dispatched strictly after — coherence then forbids
+    // older snapshots.
     uint64_t completed_rounds_max = 0;
     size_t reads = 0;
     int64_t next_id = 1;

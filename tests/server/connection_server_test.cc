@@ -1,5 +1,5 @@
 // Unit tests of ConnectionServer: lifecycle, request/response through a
-// real socket, per-connection FIFO under a multi-thread dispatch pool,
+// real socket, per-connection arrival order with a multi-thread pool,
 // framing bounds, tolerant EOF handling, and the stats plumbing.
 #include <gtest/gtest.h>
 
@@ -67,7 +67,7 @@ TEST(ConnectionServerTest, ServesARequestAndSurfacesConnectionStats) {
 
 TEST(ConnectionServerTest, PipelinedResponsesKeepArrivalOrder) {
   ConnectionServerOptions options;
-  options.num_threads = 4;  // out-of-order completion is the norm here
+  options.num_threads = 4;  // order must not depend on the pool size
   ServerHarness harness(wot::testing::TinyCommunity(), options);
 
   constexpr int kRequests = 200;

@@ -3,10 +3,10 @@
 // pipelining socket clients against a 4-shard ShardRouter served through
 // the ConnectionServer. Every response must be byte-identical to
 // dispatching the same script through an identically booted in-process
-// router — proving the event loop + dispatch pool compose with the
+// router — proving the event loop and its worker pool compose with the
 // scatter-gather router exactly as they do with a plain frontend, and
-// that concurrent cross-connection dispatch into the router's lock-free
-// read path is race-free.
+// that concurrent reads from many connections into the router's
+// lock-free read path are race-free.
 #include <gtest/gtest.h>
 
 #include <unistd.h>

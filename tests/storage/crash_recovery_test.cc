@@ -11,9 +11,9 @@
 // acknowledged mutation — the staged-but-uncommitted tail included,
 // which only the WAL holds.
 //
-// Requests are sent strictly one at a time (Call is synchronous): the
-// server's dispatch pool may execute pipelined requests out of order,
-// so sequential calls are what makes acked-prefix reasoning exact.
+// Requests are sent strictly one at a time (Call is synchronous), so
+// every ack covers exactly the requests sent before it and acked-prefix
+// reasoning is exact.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
