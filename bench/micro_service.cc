@@ -30,6 +30,8 @@
 #include <fstream>
 #include <sstream>
 
+#include <unistd.h>
+
 #include "bench_util.h"
 #include "wot/api/binary_codec.h"
 #include "wot/api/codec.h"
@@ -89,8 +91,10 @@ int Main(int argc, char** argv) {
   // Durable storage: the write-through fresh boot (Create + segment-1 +
   // wal-1), then the instant recovered boot of the same directory — a
   // LoadSegment + Restore instead of the full reputation rebuild above.
+  // Per process: ctest runs several micro_service smokes at once.
   const std::string data_dir =
-      (std::filesystem::temp_directory_path() / "micro_service_durable")
+      (std::filesystem::temp_directory_path() /
+       ("micro_service_durable_" + std::to_string(getpid())))
           .string();
   std::filesystem::remove_all(data_dir);
   storage::StorageOptions storage_options;
